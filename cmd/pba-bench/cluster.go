@@ -154,8 +154,8 @@ func clustergen(cfg clustergenConfig) error {
 }
 
 // clustersoak is the -cluster -clients soak mode: clients concurrent
-// churn traces against a running pba-router (batching or not — the
-// router decides), with no single-process replay. The deliverables are
+// churn traces against a running pba-router, with no single-process
+// replay. The deliverables are
 // the client-side latency distribution, reported per client so a
 // straggler is visible rather than averaged away, and the router's
 // group-commit telemetry scraped from /metrics as a before/after delta:
@@ -239,20 +239,21 @@ func clustersoak(cfg clustergenConfig, clients int) error {
 		mv.Count, balls, elapsed.Round(time.Millisecond),
 		float64(mv.Count)/elapsed.Seconds(), float64(balls)/elapsed.Seconds())
 
-	if before != nil {
-		if err := reportUpstreamBatching(client, cfg.Base, before); err != nil {
-			fmt.Printf("cluster soak: batching telemetry unavailable: %v\n", err)
-		}
+	if before == nil {
+		return nil
+	}
+	if err := reportGroupCommit(client, cfg.Base, before); err != nil {
+		return fmt.Errorf("cluster soak: batching telemetry: %w", err)
 	}
 	return nil
 }
 
-// reportUpstreamBatching scrapes the router's /metrics again and prints
+// reportGroupCommit scrapes the router's /metrics again and prints
 // this run's group-commit telemetry per upstream: frames flushed, subs
 // carried (the batch-size histogram's count and sum), mean subs per
-// frame, and the flush-reason split. A router running unbatched exposes
-// no pba_upstream series; say so instead of printing an empty table.
-func reportUpstreamBatching(client *http.Client, base string, before *obs.Scrape) error {
+// frame, and the flush-reason split. Every router exports the
+// pba_upstream series, so their absence is an error.
+func reportGroupCommit(client *http.Client, base string, before *obs.Scrape) error {
 	after, err := scrapeMetrics(client, base)
 	if err != nil {
 		return err
@@ -272,8 +273,7 @@ func reportUpstreamBatching(client *http.Client, base string, before *obs.Scrape
 		}
 	}
 	if len(hosts) == 0 {
-		fmt.Printf("router batching: off (no pba_upstream series; start the router with -upstream-batch)\n")
-		return nil
+		return fmt.Errorf("%s/metrics has no pba_upstream series", base)
 	}
 	sort.Strings(hosts)
 	fmt.Printf("router batching (this run, from /metrics):\n")

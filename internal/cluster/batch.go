@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Upstream group commit: with Config.UpstreamBatch on, each upstream's
+// Upstream group commit, the router's data plane: each upstream's
 // connection is owned by a single writer goroutine. Forwards submit
 // their share of a round to the writer's queue and wait; the writer
 // drains whatever has queued up, holds an adaptive window open when
@@ -25,9 +25,8 @@ import (
 // an EWMA of the submission gap and of subs-per-flush decides whether a
 // window engages at all, so a sequential caller — one request in flight
 // at a time — always sees an immediate single-sub flush and pays zero
-// added latency. That also keeps the determinism contract intact: a
-// sequential replay produces one-sub batch frames whose sub-requests
-// are byte-identical to the unbatched forwards.
+// added latency. A sequential replay therefore produces one-sub batch
+// frames, one per involved upstream per request.
 //
 // Gate interaction: callers hold their cells' read-gates across
 // submit-and-wait, and the writer never takes gates, so a migration's
@@ -53,8 +52,9 @@ const (
 	// at serve.MaxBody); an oversized sub carries to the next flush.
 	maxBatchBytes = 4 << 20
 
-	defBatchMinWindow = 2 * time.Microsecond
-	defBatchMaxWindow = 100 * time.Microsecond
+	// minWindowNs and maxWindowNs clamp the adaptive coalescing window.
+	minWindowNs = int64(2 * time.Microsecond)
+	maxWindowNs = int64(100 * time.Microsecond)
 )
 
 // errSubMissing marks a sub the reply frame failed to answer; it only
@@ -92,13 +92,9 @@ func subBytes(s *batchSub) int {
 // past the queue is writer-goroutine-local — the EWMA needs no atomics.
 type upBatcher struct {
 	up   *upstream
-	u    int
 	q    chan *batchSub
 	stop chan struct{}
 	done chan struct{}
-
-	minWindowNs int64
-	maxWindowNs int64
 
 	// Flush-policy EWMA state (writer-local): gap between round starts
 	// and subs per flush, ×256 fixed point.
@@ -116,7 +112,7 @@ type upBatcher struct {
 	flushDrain *obs.Counter
 }
 
-func newUpBatcher(up *upstream, u int, minW, maxW time.Duration, met *metrics) *upBatcher {
+func newUpBatcher(up *upstream, met *metrics) *upBatcher {
 	host := obs.L("upstream", up.host)
 	flush := func(reason string) *obs.Counter {
 		return met.reg.Counter("pba_upstream_flush_total",
@@ -124,13 +120,10 @@ func newUpBatcher(up *upstream, u int, minW, maxW time.Duration, met *metrics) *
 			host, obs.L("reason", reason))
 	}
 	return &upBatcher{
-		up:          up,
-		u:           u,
-		q:           make(chan *batchSub, upQueueDepth),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		minWindowNs: int64(minW),
-		maxWindowNs: int64(maxW),
+		up:   up,
+		q:    make(chan *batchSub, upQueueDepth),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 		frames: met.reg.Counter("pba_upstream_frames_total",
 			"Batch frames flushed to the upstream (one round trip each).", host),
 		batchSize: met.reg.ValueHistogram("pba_upstream_batch_size",
@@ -148,14 +141,7 @@ func (bt *upBatcher) window() int64 {
 	if bt.ewmaSubs < upCoalesceOn || bt.ewmaGapNs == 0 {
 		return 0
 	}
-	w := 4 * bt.ewmaGapNs
-	if w < bt.minWindowNs {
-		w = bt.minWindowNs
-	}
-	if w > bt.maxWindowNs {
-		w = bt.maxWindowNs
-	}
-	return w
+	return min(max(4*bt.ewmaGapNs, minWindowNs), maxWindowNs)
 }
 
 // run is the writer loop: block for the first sub, drain the queue,
@@ -165,7 +151,11 @@ func (bt *upBatcher) run() {
 	pending := make([]*batchSub, 0, maxUpBatch)
 	var carry *batchSub
 	var c *conn
-	defer func() { bt.up.put(c, true) }()
+	defer func() {
+		if c != nil {
+			_ = c.nc.Close()
+		}
+	}()
 	for {
 		pending = pending[:0]
 		var first *batchSub
@@ -227,21 +217,22 @@ func (bt *upBatcher) run() {
 
 // flush frames pending as one batch request (tag = index), writes it
 // vectored, reads the one reply, and demuxes sub-replies back to their
-// waiting callers. Transport failures fail every sub and retire the
-// connection; a whole-frame HTTP error fails every sub but keeps the
-// connection (it is still in protocol sync); per-sub errors decode to
-// *httpError so the merge path's partial-failure handling is identical
-// to the unbatched plane. Returns the connection to own next round.
+// waiting callers. It dials when the writer holds no connection.
+// Transport failures fail every sub and retire the connection; a
+// whole-frame HTTP error fails every sub but keeps the connection (it is
+// still in protocol sync); per-sub errors decode to *httpError so the
+// merge path folds a partial failure's spans exactly as it would a
+// whole-request one. A connection the replica answered with
+// "Connection: close" is retired too (net/http sends that on every reply
+// once Server.Shutdown begins), so the next flush redials. Returns the
+// connection to own next round.
 func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 	bt.frames.Inc()
 	bt.batchSize.Observe(int64(len(pending)))
 	if c == nil {
 		var err error
-		if c, err = bt.up.get(); err != nil {
-			bt.up.errors.Inc()
-			bt.up.healthy.Store(false)
-			bt.fail(pending, err)
-			return nil
+		if c, err = bt.up.dial(); err != nil {
+			return bt.broken(nil, pending, err)
 		}
 	}
 	f := wire.BeginBatchRequest(c.frame[:0])
@@ -254,38 +245,26 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 		}
 	}
 	c.frame = wire.FinishBatch(f, 0, len(pending))
-	if err := c.writeRequestVectored(bt.up.host, "/allocate", c.frame); err != nil {
-		bt.up.put(c, false)
-		bt.up.errors.Inc()
-		bt.up.healthy.Store(false)
-		bt.fail(pending, err)
-		return nil
+	if err := c.writeRequest(bt.up.host, "/allocate", c.frame); err != nil {
+		return bt.broken(c, pending, err)
 	}
 	bt.up.forwards.Add(uint64(len(pending)))
 	start := time.Now()
 	body, err := c.readResponse()
 	bt.up.latency.ObserveDuration(time.Since(start))
 	if err != nil {
-		if isHTTPError(err) {
-			bt.up.errors.Inc()
-			bt.fail(pending, err)
-			return c
+		if !isHTTPError(err) {
+			return bt.broken(c, pending, err)
 		}
-		bt.up.put(c, false)
 		bt.up.errors.Inc()
-		bt.up.healthy.Store(false)
 		bt.fail(pending, err)
-		return nil
+		return reusable(c)
 	}
 	bt.reps, err = wire.ParseBatchReply(body, bt.reps[:0])
 	if err != nil {
 		// An unparseable reply body means the stream can no longer be
 		// trusted; retire the connection like a transport failure.
-		bt.up.put(c, false)
-		bt.up.errors.Inc()
-		bt.up.healthy.Store(false)
-		bt.fail(pending, fmt.Errorf("bad batch reply: %w", err))
-		return nil
+		return bt.broken(c, pending, fmt.Errorf("bad batch reply: %w", err))
 	}
 	for _, s := range pending {
 		s.err = errSubMissing
@@ -315,7 +294,30 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 		}
 		s.done <- struct{}{}
 	}
+	return reusable(c)
+}
+
+// reusable returns c for the next flush, or closes it and returns nil
+// when the replica asked for the connection to be closed.
+func reusable(c *conn) *conn {
+	if c.closing {
+		_ = c.nc.Close()
+		return nil
+	}
 	return c
+}
+
+// broken handles a transport failure: it closes c (if any), marks the
+// upstream unhealthy, and fails every pending sub with err. It returns
+// nil, the connection the writer owns next round.
+func (bt *upBatcher) broken(c *conn, pending []*batchSub, err error) *conn {
+	if c != nil {
+		_ = c.nc.Close()
+	}
+	bt.up.errors.Inc()
+	bt.up.healthy.Store(false)
+	bt.fail(pending, err)
+	return nil
 }
 
 // fail completes every pending sub with err.
@@ -327,7 +329,7 @@ func (bt *upBatcher) fail(pending []*batchSub, err error) {
 }
 
 // decodeSubError turns a framed sub-error (HTTP status + JSON document)
-// into the same *httpError an unbatched non-200 reply produces, spans
+// into the same *httpError a whole-frame non-200 reply produces, spans
 // and all — the caller's partial-failure folding cannot tell them
 // apart. Error paths may allocate.
 func decodeSubError(status int, doc []byte) error {
@@ -344,83 +346,41 @@ func decodeSubError(status int, doc []byte) error {
 	return he
 }
 
-// sub returns the pooled batchSub for upstream u, creating it on first
-// use (the scratch then keeps it warm).
-func (sc *fwdScratch) sub(nup, u int) *batchSub {
-	if sc.bsubs == nil {
-		sc.bsubs = make([]*batchSub, nup)
-	}
-	if sc.bsubs[u] == nil {
-		sc.bsubs[u] = &batchSub{done: make(chan struct{}, 1)}
-	}
-	return sc.bsubs[u]
-}
-
-// batchAllocate is the group-commit spelling of the allocate fan-out:
-// submit each involved upstream's share to its writer, then wait in
-// upstream order. Failures land in sc.failed exactly as fanOut records
-// them, so the merge path downstream is unchanged.
-func (r *Router) batchAllocate(sc *fwdScratch) {
-	if r.closed.Load() {
-		for u := range sc.perUp {
-			if len(sc.perUp[u]) > 0 {
-				sc.failed[u] = errRouterClosed
-			}
+// forward submits each involved upstream's share of a request to its
+// writer — the allocate pairs in sc.perUp when alloc, else the release
+// IDs in sc.relIDs — before waiting on any, then collects the replies in
+// upstream order. Failures land in sc.failed per upstream; the other
+// upstreams' replies stay valid (the partial-failure contract). It
+// returns the number of IDs the replicas released (0 for an allocate).
+func (r *Router) forward(sc *fwdScratch, alloc bool) int {
+	closed := r.closed.Load()
+	for u, s := range sc.bsubs {
+		s.alloc, s.terse, s.pairs, s.ids = alloc, r.cfg.Terse, nil, nil
+		if alloc {
+			s.pairs = sc.perUp[u]
+		} else {
+			s.ids = sc.relIDs[u]
 		}
-		return
-	}
-	for u := range sc.perUp {
-		if len(sc.perUp[u]) == 0 {
-			continue
-		}
-		s := sc.sub(len(r.ups), u)
-		s.alloc, s.terse = true, r.cfg.Terse
-		s.pairs, s.ids = sc.perUp[u], nil
 		s.rep, s.released, s.err = &sc.reps[u], 0, nil
-		r.batchers[u].q <- s
-	}
-	for u := range sc.perUp {
-		if len(sc.perUp[u]) == 0 {
+		if len(s.pairs)+len(s.ids) == 0 {
 			continue
 		}
-		s := sc.bsubs[u]
-		<-s.done
-		sc.failed[u] = s.err
-	}
-}
-
-// batchRelease is the group-commit spelling of the release fan-out.
-func (r *Router) batchRelease(sc *fwdScratch) int {
-	if r.closed.Load() {
-		for u := range sc.relIDs {
-			if len(sc.relIDs[u]) > 0 {
-				sc.failed[u] = errRouterClosed
-			}
-		}
-		return 0
-	}
-	for u := range sc.relIDs {
-		if len(sc.relIDs[u]) == 0 {
+		if closed {
+			s.err = errRouterClosed
+			s.done <- struct{}{}
 			continue
 		}
-		s := sc.sub(len(r.ups), u)
-		s.alloc, s.terse = false, false
-		s.pairs, s.ids = nil, sc.relIDs[u]
-		s.rep, s.released, s.err = nil, 0, nil
 		r.batchers[u].q <- s
 	}
 	total := 0
-	for u := range sc.relIDs {
-		if len(sc.relIDs[u]) == 0 {
+	for u, s := range sc.bsubs {
+		if len(s.pairs)+len(s.ids) == 0 {
 			continue
 		}
-		s := sc.bsubs[u]
 		<-s.done
-		if s.err != nil {
-			sc.failed[u] = s.err
-			continue
+		if sc.failed[u] = s.err; s.err == nil {
+			total += s.released
 		}
-		total += s.released
 	}
 	return total
 }

@@ -1,107 +1,27 @@
 package cluster
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
-// TestBatchedMatchesSingleProcess is the determinism contract with group
-// commit on: the same fixed trace as TestClusterMatchesSingleProcess —
-// live migrations and an evacuation included — played sequentially
-// through a batched router grants the same IDs at every step and ends
-// fingerprint-identical to one single-process service. A sequential
-// caller produces one-sub batch frames, so the window never engages and
-// the plane is bit-compatible with the unbatched one.
+// TestBatchedMatchesSingleProcess: group commit carries the
+// determinism trace of playMatchedTrace — frames flushed on every
+// upstream that saw traffic — and the sequential caller never rides a
+// multi-sub frame, so a lone caller never waits out a coalescing window
+// and the plane stays bit-compatible with one single-process service.
 func TestBatchedMatchesSingleProcess(t *testing.T) {
-	const n, cells, seed = 60, 6, 21
-	single, err := serve.New(serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-
-	ups := make([]string, 3)
-	for i := range ups {
-		_, ups[i] = emptyReplica(t, n, cells, seed)
-	}
-	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: ups, UpstreamBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	var singleLive, clusterLive []int64
-	step := func(arrive, release int) {
-		t.Helper()
-		if release > 0 {
-			sGot := single.Release(singleLive[:release])
-			cGot := r.Release(clusterLive[:release])
-			if sGot != release || cGot != release {
-				t.Fatalf("released single=%d cluster=%d, want %d", sGot, cGot, release)
-			}
-			singleLive = singleLive[release:]
-			clusterLive = clusterLive[release:]
-		}
-		srep, err := single.Allocate(arrive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crep, err := r.Allocate(arrive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sIDs, cIDs := srep.IDs(), crep.IDs()
-		if len(sIDs) != len(cIDs) {
-			t.Fatalf("cluster admitted %d, single %d", len(cIDs), len(sIDs))
-		}
-		for i := range sIDs {
-			if sIDs[i] != cIDs[i] {
-				t.Fatalf("id %d: cluster %d != single %d", i, cIDs[i], sIDs[i])
-			}
-		}
-		if srep.Admitted != crep.Admitted || srep.Pending != crep.Pending || srep.Cells != crep.Cells {
-			t.Fatalf("report scalars differ: single %+v, cluster %+v", srep, crep)
-		}
-		singleLive = append(singleLive, sIDs...)
-		clusterLive = append(clusterLive, cIDs...)
-	}
-	checkFingerprint := func(when string) {
-		t.Helper()
-		got, err := r.Fingerprint()
-		if err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
-		if want := single.Fingerprint(); got != want {
-			t.Fatalf("%s: cluster fingerprint %s != single-process %s", when, got, want)
-		}
-	}
-
-	step(400, 0)
-	step(300, 100)
-	if err := r.Migrate(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Migrate(4, 0); err != nil {
-		t.Fatal(err)
-	}
-	checkFingerprint("after migrations")
-	step(0, 50)
-	step(500, 200)
-	if moved, err := r.Evacuate(1); err != nil || moved == 0 {
-		t.Fatalf("evacuation moved %d cells: %v", moved, err)
-	}
-	checkFingerprint("after evacuation")
-	step(100, 0)
-	step(0, 300)
-	checkFingerprint("end of trace")
-
-	// The batched plane actually carried the trace — frames flushed on
-	// every upstream that saw traffic — and the sequential caller never
-	// rode a multi-sub frame (zero added latency, bit-identical plane).
+	r, _ := playMatchedTrace(t)
 	frames := uint64(0)
 	for _, bt := range r.batchers {
 		frames += bt.frames.Load()
@@ -114,7 +34,7 @@ func TestBatchedMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestBatchedConcurrentConservation hammers a batched router from 8
+// TestBatchedConcurrentConservation hammers the router from 8
 // concurrent clients while cells migrate between replicas mid-flight:
 // multi-sub frames, migration gate interleaving, and demux all under
 // load (and under -race in the race CI job). Afterwards every granted ID
@@ -128,7 +48,7 @@ func TestBatchedConcurrentConservation(t *testing.T) {
 	for i := range ups {
 		_, ups[i] = emptyReplica(t, n, cells, seed)
 	}
-	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: ups, Terse: true, UpstreamBatch: true})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: ups, Terse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,5 +136,160 @@ func TestBatchedConcurrentConservation(t *testing.T) {
 	}
 	if st, _ = r.StatsDoc(false).(Stats); st.Live != 0 {
 		t.Fatalf("%d balls live after full drain", st.Live)
+	}
+}
+
+// TestWriterRedialsAfterConnectionClose: a replica that answers with
+// "Connection: close" — as net/http does on every reply once
+// Server.Shutdown begins — closes the socket after that reply. The
+// writer must retire the connection and redial on the next flush;
+// reusing it fails the next frame with "reading status line: EOF".
+func TestWriterRedialsAfterConnectionClose(t *testing.T) {
+	const n, cells, seed = 16, 2, 4
+	_, up := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}},
+		func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				if req.URL.Path == "/allocate" {
+					w.Header().Set("Connection", "close")
+				}
+				h.ServeHTTP(w, req)
+			})
+		})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 1; i <= 3; i++ {
+		rep, err := r.Allocate(10)
+		if err != nil {
+			t.Fatalf("forward %d: %v", i, err)
+		}
+		if got := r.Release(rep.IDs()); got != 10 {
+			t.Fatalf("forward %d: released %d of 10", i, got)
+		}
+	}
+	if !r.ups[0].healthy.Load() {
+		t.Fatal("upstream marked unhealthy after answered forwards")
+	}
+}
+
+// fakeBatchUpstream serves the GET /cells handshake for a one-replica
+// topology hosting every cell, and answers each batch frame posted to
+// /allocate with the reply frame answer builds from its sub-requests.
+func fakeBatchUpstream(t *testing.T, n, cells int, answer func(subs []wire.BatchSub) []byte) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/cells", func(w http.ResponseWriter, req *http.Request) {
+		hosted := make([]map[string]int, cells)
+		for g := range hosted {
+			hosted[g] = map[string]int{"cell": g}
+		}
+		_ = json.NewEncoder(w).Encode(map[string]any{
+			"n": n, "shards": cells, "alg": "aheavy", "seed": 1, "cells": hosted,
+		})
+	})
+	mux.HandleFunc("/allocate", func(w http.ResponseWriter, req *http.Request) {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		subs, err := wire.ParseBatchRequest(body, nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentType)
+		_, _ = w.Write(answer(subs))
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: mux}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	return "http://" + ln.Addr().String()
+}
+
+// allocateWithin runs r.AllocateInto(k) and fails the test if it has not
+// returned within a few seconds (a sub the writer never completes would
+// hang its caller forever).
+func allocateWithin(t *testing.T, r *Router, k int, rep *serve.Report) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- r.AllocateInto(k, rep) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("allocate did not return")
+		return nil
+	}
+}
+
+// TestBatchSubErrorPropagates: a sub-reply carrying the partial-failure
+// shape (HTTP status 500 + granted spans) inside an otherwise healthy
+// batch frame reaches the caller exactly like a whole-request 500 does
+// (TestPartialFailurePropagates): the granted spans are folded into the
+// reply and the error is returned.
+func TestBatchSubErrorPropagates(t *testing.T) {
+	const n, cells = 8, 2
+	doc, err := json.Marshal(map[string]any{
+		"error": "cell 1: allocator wedged",
+		"spans": []serve.Span{{Start: 0, Stride: cells, Count: 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := fakeBatchUpstream(t, n, cells, func(subs []wire.BatchSub) []byte {
+		f := wire.BeginBatchReply(nil)
+		for _, s := range subs {
+			f = wire.AppendBatchTag(f, s.Tag)
+			f = wire.AppendBatchSubError(f, http.StatusInternalServerError, doc)
+		}
+		return wire.FinishBatch(f, 0, len(subs))
+	})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: []string{up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var rep serve.Report
+	err = allocateWithin(t, r, 10, &rep)
+	var he *httpError
+	if !errors.As(err, &he) || he.Status != http.StatusInternalServerError {
+		t.Fatalf("sub error surfaced as %v, want the replica's HTTP 500", err)
+	}
+	if rep.Admitted != 3 || len(rep.Spans) != 1 || rep.Spans[0].Count != 3 {
+		t.Fatalf("granted spans not folded into the reply: %+v", rep)
+	}
+}
+
+// TestBatchMissingSubFails: a reply frame that answers a tag the
+// request never sent, and not the one it did, fails the unanswered
+// caller with errSubMissing instead of leaving it waiting.
+func TestBatchMissingSubFails(t *testing.T) {
+	const n, cells = 8, 2
+	up := fakeBatchUpstream(t, n, cells, func(subs []wire.BatchSub) []byte {
+		f := wire.BeginBatchReply(nil)
+		f = wire.AppendBatchTag(f, uint32(len(subs)+7))
+		f = wire.AppendBatchSubError(f, http.StatusInternalServerError, []byte(`{"error":"stray"}`))
+		return wire.FinishBatch(f, 0, 1)
+	})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: []string{up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var rep serve.Report
+	if err := allocateWithin(t, r, 10, &rep); !errors.Is(err, errSubMissing) {
+		t.Fatalf("unanswered sub returned %v, want errSubMissing", err)
+	}
+	if rep.Admitted != 0 {
+		t.Fatalf("unanswered sub admitted %d balls", rep.Admitted)
 	}
 }

@@ -11,13 +11,116 @@ import (
 	"repro/internal/wire"
 )
 
-// forwardPlanes builds the three measurement closures the allocation
-// split reads from, all over one shared replica pair: the raw upstream
-// protocol (the router's connection and codec layer with none of its
-// orchestration), the fan-out router, and the group-commit router. Each
-// closure plays one warm allocate+release round; routers and replicas
-// are torn down via tb.Cleanup.
-func forwardPlanes(tb testing.TB) (baseline, routed, batched func()) {
+// rawPlane is the upstream protocol with none of the router's
+// orchestration: its own connection per upstream of a router's replica
+// set, a fixed even split of each request over the cells, one
+// cell-allocate frame per upstream, then one release frame per upstream
+// for the IDs that upstream granted. Each exchange writes every
+// upstream's request before reading any reply. Every upstream must host
+// at least one cell.
+type rawPlane struct {
+	r     *Router
+	conns []*conn
+	pairs [][]wire.CellCount
+	reps  []serve.Report
+	ids   [][]int64
+}
+
+// newRawPlane dials the plane's connections (closed via tb.Cleanup) and
+// splits batch over r's cells as r's table places them.
+func newRawPlane(tb testing.TB, r *Router, batch int) *rawPlane {
+	p := &rawPlane{
+		r:     r,
+		conns: make([]*conn, len(r.ups)),
+		pairs: make([][]wire.CellCount, len(r.ups)),
+		reps:  make([]serve.Report, len(r.ups)),
+		ids:   make([][]int64, len(r.ups)),
+	}
+	for u, up := range r.ups {
+		c, err := up.dial()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { _ = c.nc.Close() })
+		p.conns[u] = c
+	}
+	cells := len(r.table)
+	for g := range r.table {
+		k := batch / cells
+		if g < batch%cells {
+			k++
+		}
+		u := r.table[g].Load()
+		p.pairs[u] = append(p.pairs[u], wire.CellCount{Cell: g, Count: k})
+	}
+	return p
+}
+
+// round plays one allocate+release round and returns the balls moved.
+func (p *rawPlane) round() (int, error) {
+	for u, c := range p.conns {
+		c.frame = wire.AppendCellAllocateRequest(c.frame[:0], p.pairs[u], true)
+		if err := c.writeRequest(p.r.ups[u].host, "/allocate", c.frame); err != nil {
+			return 0, err
+		}
+	}
+	for u, c := range p.conns {
+		body, err := c.readResponse()
+		if err == nil {
+			err = wire.ParseReport(body, &p.reps[u])
+		}
+		if err != nil {
+			return 0, err
+		}
+		p.ids[u] = p.reps[u].AppendIDs(p.ids[u][:0])
+	}
+	for u, c := range p.conns {
+		c.frame = wire.AppendReleaseRequest(c.frame[:0], p.ids[u])
+		if err := c.writeRequest(p.r.ups[u].host, "/release", c.frame); err != nil {
+			return 0, err
+		}
+	}
+	moved := 0
+	for u, c := range p.conns {
+		body, err := c.readResponse()
+		k := 0
+		if err == nil {
+			k, err = wire.ParseReleaseReply(body)
+		}
+		if err == nil && k != len(p.ids[u]) {
+			err = fmt.Errorf("released %d of %d", k, len(p.ids[u]))
+		}
+		if err != nil {
+			return 0, err
+		}
+		moved += k
+	}
+	return moved, nil
+}
+
+// routedClient returns one client's allocate+release round through r,
+// reporting the balls it moved.
+func routedClient(r *Router, batch int) func() (int, error) {
+	rep := new(serve.Report)
+	var ids []int64
+	return func() (int, error) {
+		if err := r.AllocateInto(batch, rep); err != nil {
+			return 0, err
+		}
+		ids = rep.AppendIDs(ids[:0])
+		if got := r.Release(ids); got != len(ids) {
+			return 0, fmt.Errorf("released %d of %d", got, len(ids))
+		}
+		return len(ids), nil
+	}
+}
+
+// forwardPlanes builds the two measurement closures the allocation split
+// reads from, over one shared replica pair: the raw upstream protocol
+// (rawPlane) and the router. Each closure plays one warm
+// allocate+release round; the router and replicas are torn down via
+// tb.Cleanup.
+func forwardPlanes(tb testing.TB) (baseline, routed func()) {
 	const n, cells, batch = 256, 4, 64
 	ups := make([]string, 2)
 	for i := range ups {
@@ -28,119 +131,41 @@ func forwardPlanes(tb testing.TB) (baseline, routed, batched func()) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { r.Close() })
-
-	// The raw-protocol baseline: fixed per-upstream shares mirroring the
-	// router's split.
-	var basePairs [2][]wire.CellCount
-	for g := range r.table {
-		basePairs[r.table[g].Load()] = append(basePairs[r.table[g].Load()], wire.CellCount{Cell: g, Count: batch / cells})
-	}
-	var baseRep serve.Report
-	var baseIDs []int64
+	raw, play := newRawPlane(tb, r, batch), routedClient(r, batch)
 	baseline = func() {
-		baseIDs = baseIDs[:0]
-		for u, up := range r.ups {
-			c, err := up.get()
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if err := c.writeCellAllocate(up.host, basePairs[u], true); err != nil {
-				tb.Fatal(err)
-			}
-			body, err := c.readResponse()
-			if err == nil {
-				err = wire.ParseReport(body, &baseRep)
-			}
-			if err != nil {
-				tb.Fatal(err)
-			}
-			up.put(c, true)
-			baseIDs = baseRep.AppendIDs(baseIDs)
-		}
-		for u, up := range r.ups {
-			c, err := up.get()
-			if err != nil {
-				tb.Fatal(err)
-			}
-			// Releasing the full ID set at both replicas mirrors the router's
-			// partitioned release closely enough for allocation counting; the
-			// replicas skip unhosted IDs.
-			if err := c.writeRelease(up.host, baseIDs); err != nil {
-				tb.Fatal(err)
-			}
-			body, err := c.readResponse()
-			if err == nil {
-				_, err = wire.ParseReleaseReply(body)
-			}
-			if err != nil {
-				tb.Fatal(err)
-			}
-			up.put(c, true)
-			_ = u
+		if _, err := raw.round(); err != nil {
+			tb.Fatal(err)
 		}
 	}
-
-	rep := new(serve.Report)
-	var ids []int64
 	routed = func() {
-		if err := r.AllocateInto(batch, rep); err != nil {
+		if _, err := play(); err != nil {
 			tb.Fatal(err)
 		}
-		ids = rep.AppendIDs(ids[:0])
-		if got := r.Release(ids); got != len(ids) {
-			tb.Fatalf("released %d of %d", got, len(ids))
-		}
 	}
-
-	// The batched plane over the same replicas: the group-commit writer,
-	// the batch codec, and the demux must also add nothing per round.
-	rb, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 2, Upstreams: ups, Terse: true, UpstreamBatch: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { rb.Close() })
-	brep := new(serve.Report)
-	var bids []int64
-	batched = func() {
-		if err := rb.AllocateInto(batch, brep); err != nil {
-			tb.Fatal(err)
-		}
-		bids = brep.AppendIDs(bids[:0])
-		if got := rb.Release(bids); got != len(bids) {
-			tb.Fatalf("released %d of %d", got, len(bids))
-		}
-	}
-	return baseline, routed, batched
+	return baseline, routed
 }
 
 // TestRouterForwardAllocFree: in steady state the router's binary
-// forward path — split draw, fan-out or group commit, reply merge,
-// connection cycling — adds zero allocations per allocate/release round
-// trip on top of what the raw upstream protocol costs (same
-// connections, same frames, no router logic). Both sides of the
-// comparison include the replicas' server-side work, so the delta
-// isolates the router.
+// forward path — split draw, group-commit writer, batch codec, demux,
+// reply merge — adds zero allocations per allocate/release round trip
+// on top of what the raw upstream protocol costs (same replicas, same
+// nested frames, no router logic). Both sides of the comparison include
+// the replicas' server-side work, so the delta isolates the router.
 func TestRouterForwardAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	baseline, routed, batched := forwardPlanes(t)
-	// Warm pools, connections, and slice capacities on all paths.
+	baseline, routed := forwardPlanes(t)
+	// Warm pools, connections, and slice capacities on both paths.
 	for i := 0; i < 50; i++ {
 		baseline()
 		routed()
-		batched()
 	}
 	base := testing.AllocsPerRun(200, baseline)
 	via := testing.AllocsPerRun(200, routed)
-	viaBatched := testing.AllocsPerRun(200, batched)
 	if delta := via - base; delta >= 1 {
 		t.Errorf("router forward path adds %.2f allocs/op (router %.2f, raw upstream %.2f); want 0",
 			delta, via, base)
-	}
-	if delta := viaBatched - base; delta >= 1 {
-		t.Errorf("batched forward path adds %.2f allocs/op (batched %.2f, raw upstream %.2f); want 0",
-			delta, viaBatched, base)
 	}
 }
 
@@ -148,26 +173,23 @@ func TestRouterForwardAllocFree(t *testing.T) {
 // as dedicated record columns: raw_allocs/op is what the upstream
 // protocol itself costs per round (dominated by the in-process replica
 // servers' net/http request machinery — the bench-harness side of the
-// split), and the two *_delta_allocs/op columns are the fan-out and
-// group-commit routers' own additions over it, both held at zero.
-// Counts come from testing.AllocsPerRun inside one iteration, so ns/op
-// is not meaningful here; read the custom columns.
+// split), and router_delta_allocs/op is the router's own addition over
+// it, held at zero. Counts come from testing.AllocsPerRun inside one
+// iteration, so ns/op is not meaningful here; read the custom columns.
 func BenchmarkRouterAllocSplit(b *testing.B) {
 	if raceEnabled {
 		b.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	baseline, routed, batched := forwardPlanes(b)
+	baseline, routed := forwardPlanes(b)
 	for i := 0; i < 50; i++ {
 		baseline()
 		routed()
-		batched()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		base := testing.AllocsPerRun(100, baseline)
 		b.ReportMetric(base, "raw_allocs/op")
 		b.ReportMetric(testing.AllocsPerRun(100, routed)-base, "router_delta_allocs/op")
-		b.ReportMetric(testing.AllocsPerRun(100, batched)-base, "batched_delta_allocs/op")
 	}
 }
 
@@ -220,58 +242,59 @@ func BenchmarkClusterThroughput(b *testing.B) {
 }
 
 // BenchmarkClusterGroupCommit is the group-commit claim as a grid:
-// clients × replicas × batch on|off, same topology and batch size
-// everywhere. With one client the batched plane must cost nothing (the
-// window never engages, frames carry one sub); with many clients the
-// writer coalesces concurrent submissions into multi-sub frames and the
-// batched/unbatched balls/s ratio at replicas>=2 is the headline
-// speedup. Clients are explicit goroutines sharing b.N through an
-// atomic counter — RunParallel would cap the client count at
+// clients × replicas × plane, same topology and batch size everywhere.
+// plane=router is the router; plane=raw gives each client its own
+// rawPlane — per-request frames on its own connections, no router split
+// or merge: one upstream round trip per request per replica, which is
+// what the router costs without coalescing, minus its own work. With one client
+// the router's window never engages and frames carry one sub; with many
+// clients the writer coalesces concurrent submissions into multi-sub
+// frames, and the router/raw balls/s ratio at replicas>=2 is the
+// headline speedup. Clients are explicit goroutines sharing b.N through
+// an atomic counter — RunParallel would cap the client count at
 // GOMAXPROCS, which is 1 on small CI boxes.
 func BenchmarkClusterGroupCommit(b *testing.B) {
 	const n, cells, batch = 1024, 6, 64
 	for _, clients := range []int{1, 8} {
 		for _, replicas := range []int{1, 2, 3} {
-			for _, batched := range []bool{false, true} {
-				mode := "off"
-				if batched {
-					mode = "on"
-				}
-				name := fmt.Sprintf("clients=%d/replicas=%d/batch=%s", clients, replicas, mode)
+			for _, plane := range []string{"raw", "router"} {
+				name := fmt.Sprintf("clients=%d/replicas=%d/plane=%s", clients, replicas, plane)
 				b.Run(name, func(b *testing.B) {
 					ups := make([]string, replicas)
 					for i := range ups {
 						_, ups[i] = emptyReplica(b, n, cells, 1)
 					}
-					r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1,
-						Upstreams: ups, Terse: true, UpstreamBatch: batched})
+					r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: ups, Terse: true})
 					if err != nil {
 						b.Fatal(err)
 					}
 					defer r.Close()
+					// Clients are built (and raw ones dialed) before the timer.
+					plays := make([]func() (int, error), clients)
+					for c := range plays {
+						if plane == "raw" {
+							plays[c] = newRawPlane(b, r, batch).round
+						} else {
+							plays[c] = routedClient(r, batch)
+						}
+					}
 					var balls atomic.Int64
 					var iters atomic.Int64
 					iters.Store(int64(b.N))
 					var wg sync.WaitGroup
 					b.ReportAllocs()
 					b.ResetTimer()
-					for c := 0; c < clients; c++ {
+					for _, play := range plays {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							rep := new(serve.Report)
-							var ids []int64
 							for iters.Add(-1) >= 0 {
-								if err := r.AllocateInto(batch, rep); err != nil {
+								k, err := play()
+								if err != nil {
 									b.Error(err)
 									return
 								}
-								ids = rep.AppendIDs(ids[:0])
-								if got := r.Release(ids); got != len(ids) {
-									b.Errorf("released %d of %d", got, len(ids))
-									return
-								}
-								balls.Add(int64(len(ids)))
+								balls.Add(int64(k))
 							}
 						}()
 					}
@@ -288,15 +311,45 @@ func BenchmarkClusterGroupCommit(b *testing.B) {
 	}
 }
 
+// migrateFullLock moves cell g to dst with the whole two-phase protocol
+// — begin, stage, cut, commit and the table flip — under g's gate write
+// lock, so the pause spans the O(live) snapshot transfer. It is the
+// baseline BenchmarkMigrationPause measures MigrateTimed's pause
+// against; the lite detach runs after the gate reopens, as in
+// MigrateTimed.
+func migrateFullLock(r *Router, g, dst int) (time.Duration, error) {
+	r.migMu.Lock()
+	defer r.migMu.Unlock()
+	src := int(r.table[g].Load())
+	t0 := time.Now()
+	r.gates[g].Lock()
+	frame, err := r.migrateBegin(src, g)
+	if err == nil {
+		err = r.shipFrame(dst, "/cells/stage", frame)
+	}
+	if err == nil {
+		_, err = r.cutAndCommit(src, dst, g)
+	}
+	if err == nil {
+		r.table[g].Store(int32(dst))
+	}
+	r.gates[g].Unlock()
+	pause := time.Since(t0)
+	if err != nil {
+		return 0, err
+	}
+	return pause, r.postJSON(r.ups[src].base, "/cells/detach", fmt.Sprintf(`{"cell":%d,"lite":true}`, g), nil)
+}
+
 // BenchmarkMigrationPause measures the data-plane pause one cell move
 // inflicts — the window in which the moving cell's forwarding gate is
-// write-locked — for the two-phase delta protocol against the legacy
-// whole-move lock, across cell sizes. The contract under test: the
-// delta pause tracks the traffic since the snapshot (zero here), not
-// the balls in the cell, so pause_ns stays flat as balls grows while
-// fulllock grows with the O(live) transfer it keeps under the lock.
-// Each iteration still pays the full copy off-lock; pause_ns is the
-// figure of merit, not ns/op.
+// write-locked — for the two-phase delta protocol against the same
+// protocol run entirely under the lock (migrateFullLock), across cell
+// sizes. The contract under test: the delta pause tracks the traffic
+// since the snapshot (zero here), not the balls in the cell, so pause_ns
+// stays flat as balls grows while fulllock grows with the O(live)
+// transfer it keeps under the lock. Each iteration still pays the full
+// copy off-lock; pause_ns is the figure of merit, not ns/op.
 func BenchmarkMigrationPause(b *testing.B) {
 	for _, balls := range []int{10_000, 100_000, 1_000_000} {
 		for _, mode := range []string{"delta", "fulllock"} {
@@ -323,16 +376,14 @@ func BenchmarkMigrationPause(b *testing.B) {
 					}
 					placed += k
 				}
+				migrate := r.MigrateTimed
+				if mode == "fulllock" {
+					migrate = func(g, dst int) (time.Duration, error) { return migrateFullLock(r, g, dst) }
+				}
 				var total time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					dst := 1 - int(r.table[0].Load())
-					var pause time.Duration
-					if mode == "delta" {
-						pause, err = r.MigrateTimed(0, dst)
-					} else {
-						pause, err = r.migrateLegacy(0, int(r.table[0].Load()), dst)
-					}
+					pause, err := migrate(0, 1-int(r.table[0].Load()))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -16,6 +16,13 @@ import (
 // httptest's in-process transport.
 func startReplica(t testing.TB, cfg serve.Config) (*serve.Service, string) {
 	t.Helper()
+	return startWrappedReplica(t, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// startWrappedReplica is startReplica with the replica's handler passed
+// through wrap, so a test can alter what the replica answers.
+func startWrappedReplica(t testing.TB, cfg serve.Config, wrap func(http.Handler) http.Handler) (*serve.Service, string) {
+	t.Helper()
 	s, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +32,7 @@ func startReplica(t testing.TB, cfg serve.Config) (*serve.Service, string) {
 		s.Close()
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: serve.NewHandler(s, serve.HandlerConfig{})}
+	srv := &http.Server{Handler: wrap(serve.NewHandler(s, serve.HandlerConfig{}))}
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() {
 		_ = srv.Close()
@@ -42,19 +49,20 @@ func emptyReplica(t testing.TB, n, cells int, seed uint64) (*serve.Service, stri
 	})
 }
 
-// TestClusterMatchesSingleProcess is the cluster determinism contract:
-// a fixed (seed, request sequence, topology, migration schedule) played
-// sequentially through the router over three replicas — including two
-// live migrations and a full evacuation mid-trace — grants the same IDs
-// at every step and ends fingerprint-identical to the same trace
-// against one single-process service. Zero balls lost.
-func TestClusterMatchesSingleProcess(t *testing.T) {
+// playMatchedTrace plays the cluster determinism trace: a fixed (seed,
+// request sequence, topology, migration schedule) sequentially through a
+// router over three replicas — including two live migrations and a full
+// evacuation mid-trace — and through one single-process service. It
+// fails the test unless every step grants the same IDs and the two end
+// fingerprint-identical, and returns both for further checks.
+func playMatchedTrace(t *testing.T) (*Router, *serve.Service) {
+	t.Helper()
 	const n, cells, seed = 60, 6, 21
 	single, err := serve.New(serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer single.Close()
+	t.Cleanup(single.Close)
 
 	ups := make([]string, 3)
 	for i := range ups {
@@ -64,7 +72,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	t.Cleanup(r.Close)
 
 	var singleLive, clusterLive []int64
 	step := func(arrive, release int) {
@@ -145,6 +153,15 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	step(100, 0)
 	step(0, 300)
 	checkFingerprint("end of trace")
+	return r, single
+}
+
+// TestClusterMatchesSingleProcess is the cluster determinism contract:
+// the trace of playMatchedTrace grants the same IDs at every step and
+// ends fingerprint-identical to one single-process service. Zero balls
+// lost.
+func TestClusterMatchesSingleProcess(t *testing.T) {
+	r, single := playMatchedTrace(t)
 
 	// Zero lost balls: the cluster's live census matches the reference.
 	st, ok := r.StatsDoc(false).(Stats)
@@ -154,7 +171,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	if want := single.StatsLite().Live; st.Live != want {
 		t.Fatalf("cluster live %d, single-process %d", st.Live, want)
 	}
-	if st.Requests == 0 || st.Shards != cells {
+	if st.Requests == 0 || st.Shards != r.cfg.Cells {
 		t.Fatalf("bad stats doc: %+v", st)
 	}
 }

@@ -6,9 +6,8 @@ import (
 
 // TestTwoPhaseMigrateOverHTTP drives the router's bounded-pause
 // migration against real replicas: an idle move (empty delta) leaves
-// the cluster fingerprint untouched, moves with concurrent traffic ship
-// the in-flight balls as the delta and lose none, and the pre-delta
-// legacy path still works as the mixed-version fallback.
+// the cluster fingerprint untouched, and moves with concurrent traffic
+// ship the in-flight balls as the delta and lose none.
 func TestTwoPhaseMigrateOverHTTP(t *testing.T) {
 	const n, cells, seed = 40, 4, 9
 	ups := make([]string, 2)
@@ -106,22 +105,5 @@ func TestTwoPhaseMigrateOverHTTP(t *testing.T) {
 	}
 	if got := r.met.migTotal.Load(); got != 5 {
 		t.Fatalf("pba_migrations_total = %d after five migrations", got)
-	}
-
-	// The legacy whole-move pause still works (and is what a router
-	// falls back to against replicas without the two-phase endpoints).
-	fp1, err := r.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := int(r.table[2].Load())
-	if _, err := r.migrateLegacy(2, src, 1-src); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Table()[2]; got != ups[1-src] {
-		t.Fatalf("cell 2 on %s after legacy migration, want %s", got, ups[1-src])
-	}
-	if fp, err := r.Fingerprint(); err != nil || fp != fp1 {
-		t.Fatalf("fingerprint changed across a legacy migration: %s -> %s (%v)", fp1, fp, err)
 	}
 }
