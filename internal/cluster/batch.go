@@ -102,8 +102,10 @@ type upBatcher struct {
 	ewmaGapNs int64
 	ewmaSubs  int64
 
-	// Reply demux scratch, reused across flushes.
-	reps []wire.BatchSubReply
+	// The outgoing frame and the reply demux scratch, reused across
+	// flushes.
+	frame []byte
+	reps  []wire.BatchSubReply
 
 	frames     *obs.Counter
 	batchSize  *obs.Histogram
@@ -215,27 +217,16 @@ func (bt *upBatcher) run() {
 	}
 }
 
-// flush frames pending as one batch request (tag = index), writes it
-// vectored, reads the one reply, and demuxes sub-replies back to their
-// waiting callers. It dials when the writer holds no connection.
-// Transport failures fail every sub and retire the connection; a
-// whole-frame HTTP error fails every sub but keeps the connection (it is
-// still in protocol sync); per-sub errors decode to *httpError so the
-// merge path folds a partial failure's spans exactly as it would a
-// whole-request one. A connection the replica answered with
-// "Connection: close" is retired too (net/http sends that on every reply
-// once Server.Shutdown begins), so the next flush redials. Returns the
-// connection to own next round.
+// flush frames pending as one batch request (tag = index), sends it
+// down the upstream's stream, reads the one reply, and demuxes
+// sub-replies back to their waiting callers. Transport failures and
+// unparseable replies fail every sub and retire the connection; per-sub
+// errors decode to *httpError so the merge path folds a partial
+// failure's spans. Returns the connection to own next round.
 func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 	bt.frames.Inc()
 	bt.batchSize.Observe(int64(len(pending)))
-	if c == nil {
-		var err error
-		if c, err = bt.up.dial(); err != nil {
-			return bt.broken(nil, pending, err)
-		}
-	}
-	f := wire.BeginBatchRequest(c.frame[:0])
+	f := wire.BeginBatchRequest(bt.frame[:0])
 	for i, s := range pending {
 		f = wire.AppendBatchTag(f, uint32(i))
 		if s.alloc {
@@ -244,25 +235,17 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 			f = wire.AppendReleaseRequest(f, s.ids)
 		}
 	}
-	c.frame = wire.FinishBatch(f, 0, len(pending))
-	if err := c.writeRequest(bt.up.host, "/allocate", c.frame); err != nil {
-		return bt.broken(c, pending, err)
-	}
+	bt.frame = wire.FinishBatch(f, 0, len(pending))
 	bt.up.forwards.Add(uint64(len(pending)))
 	start := time.Now()
-	body, err := c.readResponse()
+	c, reply, err := bt.exchange(c)
 	bt.up.latency.ObserveDuration(time.Since(start))
 	if err != nil {
-		if !isHTTPError(err) {
-			return bt.broken(c, pending, err)
-		}
-		bt.up.errors.Inc()
-		bt.fail(pending, err)
-		return reusable(c)
+		return bt.broken(c, pending, err)
 	}
-	bt.reps, err = wire.ParseBatchReply(body, bt.reps[:0])
+	bt.reps, err = wire.ParseBatchReply(reply, bt.reps[:0])
 	if err != nil {
-		// An unparseable reply body means the stream can no longer be
+		// An unparseable reply means the stream can no longer be
 		// trusted; retire the connection like a transport failure.
 		return bt.broken(c, pending, fmt.Errorf("bad batch reply: %w", err))
 	}
@@ -294,17 +277,35 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 		}
 		s.done <- struct{}{}
 	}
-	return reusable(c)
+	return c
 }
 
-// reusable returns c for the next flush, or closes it and returns nil
-// when the replica asked for the connection to be closed.
-func reusable(c *conn) *conn {
-	if c.closing {
+// exchange sends bt.frame over c, dialing when c is nil, and returns the
+// connection with the reply frame. A connection kept from an earlier
+// flush that fails before any byte of the reply — the replica closed it
+// between frames, say on shutdown — is closed and the frame resent once
+// on a fresh one: by the stream's closing contract the replica never ran
+// it. On failure the returned connection is the one to retire.
+func (bt *upBatcher) exchange(c *conn) (*conn, []byte, error) {
+	for retry := c != nil; ; retry = false {
+		if c == nil {
+			var err error
+			if c, err = bt.up.dial(); err != nil {
+				return nil, nil, err
+			}
+		}
+		_, err := c.nc.Write(bt.frame)
+		answered := false
+		var reply []byte
+		if err == nil {
+			reply, answered, err = c.receive()
+		}
+		if err == nil || answered || !retry {
+			return c, reply, err
+		}
 		_ = c.nc.Close()
-		return nil
+		c = nil
 	}
-	return c
 }
 
 // broken handles a transport failure: it closes c (if any), marks the
@@ -329,9 +330,8 @@ func (bt *upBatcher) fail(pending []*batchSub, err error) {
 }
 
 // decodeSubError turns a framed sub-error (HTTP status + JSON document)
-// into the same *httpError a whole-frame non-200 reply produces, spans
-// and all — the caller's partial-failure folding cannot tell them
-// apart. Error paths may allocate.
+// into an *httpError, spans and all, for the caller's partial-failure
+// folding. Error paths may allocate.
 func decodeSubError(status int, doc []byte) error {
 	he := &httpError{Status: status}
 	var d struct {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,20 +141,35 @@ func TestBatchedConcurrentConservation(t *testing.T) {
 	}
 }
 
-// TestWriterRedialsAfterConnectionClose: a replica that answers with
-// "Connection: close" — as net/http does on every reply once
-// Server.Shutdown begins — closes the socket after that reply. The
-// writer must retire the connection and redial on the next flush;
-// reusing it fails the next frame with "reading status line: EOF".
+// hijackRecorder records the connections a replica's handler hijacks
+// for the frame stream, so a test can close the replica's end.
+type hijackRecorder struct {
+	http.ResponseWriter
+	conns chan<- net.Conn
+}
+
+func (h hijackRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	nc, brw, err := h.ResponseWriter.(http.Hijacker).Hijack()
+	if err == nil {
+		h.conns <- nc
+	}
+	return nc, brw, err
+}
+
+// TestWriterRedialsAfterConnectionClose: a replica that closes its end
+// of the frame stream between frames — as it does on shutdown — must
+// cost no forward. The writer's next flush finds the stream gone before
+// any reply byte, which by the closing contract means the frame never
+// ran, and resends it once on a redialled stream: every forward
+// succeeds, no sub fails, the upstream stays healthy, and every granted
+// ball is released.
 func TestWriterRedialsAfterConnectionClose(t *testing.T) {
 	const n, cells, seed = 16, 2, 4
-	_, up := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}},
+	conns := make(chan net.Conn, 8)
+	svc, up := startWrappedReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: seed, Workers: 1, Host: []int{}},
 		func(h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				if req.URL.Path == "/allocate" {
-					w.Header().Set("Connection", "close")
-				}
-				h.ServeHTTP(w, req)
+				h.ServeHTTP(hijackRecorder{w, conns}, req)
 			})
 		})
 	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: seed, Upstreams: []string{up}})
@@ -168,40 +185,64 @@ func TestWriterRedialsAfterConnectionClose(t *testing.T) {
 		if got := r.Release(rep.IDs()); got != 10 {
 			t.Fatalf("forward %d: released %d of 10", i, got)
 		}
+		select {
+		case nc := <-conns:
+			_ = nc.Close() // the replica's end, between frames
+		case <-time.After(5 * time.Second):
+			t.Fatalf("forward %d rode no fresh stream", i)
+		}
+	}
+	if errs := r.ups[0].errors.Load(); errs != 0 {
+		t.Fatalf("%d forward errors; want none", errs)
 	}
 	if !r.ups[0].healthy.Load() {
 		t.Fatal("upstream marked unhealthy after answered forwards")
 	}
+	if live := svc.StatsLite().Live; live != 0 {
+		t.Fatalf("replica holds %d live balls after releasing every grant", live)
+	}
 }
 
 // fakeBatchUpstream serves the GET /cells handshake for a one-replica
-// topology hosting every cell, and answers each batch frame posted to
-// /allocate with the reply frame answer builds from its sub-requests.
-func fakeBatchUpstream(t *testing.T, n, cells int, answer func(subs []wire.BatchSub) []byte) string {
+// topology hosting the given cells, and answers the frame-stream upgrade
+// on /allocate: each batch frame gets the reply frame answer builds from
+// its sub-requests.
+func fakeBatchUpstream(t *testing.T, n, cells int, hosted []int, answer func(subs []wire.BatchSub) []byte) string {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cells", func(w http.ResponseWriter, req *http.Request) {
-		hosted := make([]map[string]int, cells)
-		for g := range hosted {
-			hosted[g] = map[string]int{"cell": g}
+		doc := make([]map[string]int, len(hosted))
+		for i, g := range hosted {
+			doc[i] = map[string]int{"cell": g}
 		}
 		_ = json.NewEncoder(w).Encode(map[string]any{
-			"n": n, "shards": cells, "alg": "aheavy", "seed": 1, "cells": hosted,
+			"n": n, "shards": cells, "alg": "aheavy", "seed": 1, "cells": doc,
 		})
 	})
 	mux.HandleFunc("/allocate", func(w http.ResponseWriter, req *http.Request) {
-		body, err := io.ReadAll(req.Body)
+		nc, brw, err := w.(http.Hijacker).Hijack()
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			t.Error(err)
 			return
 		}
-		subs, err := wire.ParseBatchRequest(body, nil)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		defer nc.Close()
+		if _, err := io.WriteString(nc, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+serve.UpgradeToken+"\r\n\r\n"); err != nil {
 			return
 		}
-		w.Header().Set("Content-Type", wire.ContentType)
-		_, _ = w.Write(answer(subs))
+		var frame []byte
+		for {
+			if frame, err = serve.ReadStreamFrame(brw.Reader, frame); err != nil {
+				return
+			}
+			subs, err := wire.ParseBatchRequest(frame, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := nc.Write(answer(subs)); err != nil {
+				return
+			}
+		}
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -211,6 +252,15 @@ func fakeBatchUpstream(t *testing.T, n, cells int, answer func(subs []wire.Batch
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Close() })
 	return "http://" + ln.Addr().String()
+}
+
+// allCells lists cells 0..cells-1.
+func allCells(cells int) []int {
+	out := make([]int, cells)
+	for g := range out {
+		out[g] = g
+	}
+	return out
 }
 
 // allocateWithin runs r.AllocateInto(k) and fails the test if it has not
@@ -231,9 +281,8 @@ func allocateWithin(t *testing.T, r *Router, k int, rep *serve.Report) error {
 
 // TestBatchSubErrorPropagates: a sub-reply carrying the partial-failure
 // shape (HTTP status 500 + granted spans) inside an otherwise healthy
-// batch frame reaches the caller exactly like a whole-request 500 does
-// (TestPartialFailurePropagates): the granted spans are folded into the
-// reply and the error is returned.
+// batch frame reaches the caller as an *httpError with that status, and
+// the granted spans are folded into the reply.
 func TestBatchSubErrorPropagates(t *testing.T) {
 	const n, cells = 8, 2
 	doc, err := json.Marshal(map[string]any{
@@ -243,7 +292,7 @@ func TestBatchSubErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := fakeBatchUpstream(t, n, cells, func(subs []wire.BatchSub) []byte {
+	up := fakeBatchUpstream(t, n, cells, allCells(cells), func(subs []wire.BatchSub) []byte {
 		f := wire.BeginBatchReply(nil)
 		for _, s := range subs {
 			f = wire.AppendBatchTag(f, s.Tag)
@@ -273,7 +322,7 @@ func TestBatchSubErrorPropagates(t *testing.T) {
 // caller with errSubMissing instead of leaving it waiting.
 func TestBatchMissingSubFails(t *testing.T) {
 	const n, cells = 8, 2
-	up := fakeBatchUpstream(t, n, cells, func(subs []wire.BatchSub) []byte {
+	up := fakeBatchUpstream(t, n, cells, allCells(cells), func(subs []wire.BatchSub) []byte {
 		f := wire.BeginBatchReply(nil)
 		f = wire.AppendBatchTag(f, uint32(len(subs)+7))
 		f = wire.AppendBatchSubError(f, http.StatusInternalServerError, []byte(`{"error":"stray"}`))
@@ -291,5 +340,28 @@ func TestBatchMissingSubFails(t *testing.T) {
 	}
 	if rep.Admitted != 0 {
 		t.Fatalf("unanswered sub admitted %d balls", rep.Admitted)
+	}
+}
+
+// TestRouterCapsReplyFrame: a reply whose length prefix declares more
+// than serve.MaxBody fails the forward with serve.ErrFrameTooLarge at
+// once — the router neither allocates the declared size nor waits for
+// bytes that never come — and retires the stream.
+func TestRouterCapsReplyFrame(t *testing.T) {
+	const n, cells = 8, 2
+	up := fakeBatchUpstream(t, n, cells, allCells(cells), func([]wire.BatchSub) []byte {
+		return binary.LittleEndian.AppendUint32(nil, serve.MaxBody)
+	})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: []string{up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var rep serve.Report
+	if err := allocateWithin(t, r, 10, &rep); !errors.Is(err, serve.ErrFrameTooLarge) {
+		t.Fatalf("oversized reply returned %v, want serve.ErrFrameTooLarge", err)
+	}
+	if r.ups[0].healthy.Load() {
+		t.Fatal("upstream still healthy after an oversized reply")
 	}
 }

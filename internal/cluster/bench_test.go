@@ -12,29 +12,32 @@ import (
 )
 
 // rawPlane is the upstream protocol with none of the router's
-// orchestration: its own connection per upstream of a router's replica
+// orchestration: its own frame stream per upstream of a router's replica
 // set, a fixed even split of each request over the cells, one
-// cell-allocate frame per upstream, then one release frame per upstream
-// for the IDs that upstream granted. Each exchange writes every
-// upstream's request before reading any reply. Every upstream must host
-// at least one cell.
+// single-sub batch frame per upstream carrying a cell allocate, then one
+// carrying a release of the IDs that upstream granted. Each exchange
+// writes every upstream's frame before reading any reply. Every upstream
+// must host at least one cell.
 type rawPlane struct {
-	r     *Router
-	conns []*conn
-	pairs [][]wire.CellCount
-	reps  []serve.Report
-	ids   [][]int64
+	r      *Router
+	conns  []*conn
+	frames [][]byte
+	pairs  [][]wire.CellCount
+	reps   []serve.Report
+	ids    [][]int64
+	subs   []wire.BatchSubReply
 }
 
-// newRawPlane dials the plane's connections (closed via tb.Cleanup) and
+// newRawPlane dials the plane's streams (closed via tb.Cleanup) and
 // splits batch over r's cells as r's table places them.
 func newRawPlane(tb testing.TB, r *Router, batch int) *rawPlane {
 	p := &rawPlane{
-		r:     r,
-		conns: make([]*conn, len(r.ups)),
-		pairs: make([][]wire.CellCount, len(r.ups)),
-		reps:  make([]serve.Report, len(r.ups)),
-		ids:   make([][]int64, len(r.ups)),
+		r:      r,
+		conns:  make([]*conn, len(r.ups)),
+		frames: make([][]byte, len(r.ups)),
+		pairs:  make([][]wire.CellCount, len(r.ups)),
+		reps:   make([]serve.Report, len(r.ups)),
+		ids:    make([][]int64, len(r.ups)),
 	}
 	for u, up := range r.ups {
 		c, err := up.dial()
@@ -56,46 +59,60 @@ func newRawPlane(tb testing.TB, r *Router, batch int) *rawPlane {
 	return p
 }
 
-// round plays one allocate+release round and returns the balls moved.
-func (p *rawPlane) round() (int, error) {
+// exchange writes each upstream's frame from fill, then reads every
+// reply and hands its one sub-reply frame to take.
+func (p *rawPlane) exchange(fill func(u int, f []byte) []byte, take func(u int, sub []byte) error) error {
 	for u, c := range p.conns {
-		c.frame = wire.AppendCellAllocateRequest(c.frame[:0], p.pairs[u], true)
-		if err := c.writeRequest(p.r.ups[u].host, "/allocate", c.frame); err != nil {
-			return 0, err
+		f := wire.AppendBatchTag(wire.BeginBatchRequest(p.frames[u][:0]), 0)
+		p.frames[u] = wire.FinishBatch(fill(u, f), 0, 1)
+		if _, err := c.nc.Write(p.frames[u]); err != nil {
+			return err
 		}
 	}
 	for u, c := range p.conns {
-		body, err := c.readResponse()
+		reply, _, err := c.receive()
 		if err == nil {
-			err = wire.ParseReport(body, &p.reps[u])
+			p.subs, err = wire.ParseBatchReply(reply, p.subs[:0])
+		}
+		if err == nil && (len(p.subs) != 1 || p.subs[0].Status != 0) {
+			err = fmt.Errorf("upstream %d: batch reply %+v", u, p.subs)
+		}
+		if err == nil {
+			err = take(u, p.subs[0].Frame)
 		}
 		if err != nil {
-			return 0, err
+			return err
+		}
+	}
+	return nil
+}
+
+// round plays one allocate+release round and returns the balls moved.
+func (p *rawPlane) round() (int, error) {
+	err := p.exchange(func(u int, f []byte) []byte {
+		return wire.AppendCellAllocateRequest(f, p.pairs[u], true)
+	}, func(u int, sub []byte) error {
+		if err := wire.ParseReport(sub, &p.reps[u]); err != nil {
+			return err
 		}
 		p.ids[u] = p.reps[u].AppendIDs(p.ids[u][:0])
-	}
-	for u, c := range p.conns {
-		c.frame = wire.AppendReleaseRequest(c.frame[:0], p.ids[u])
-		if err := c.writeRequest(p.r.ups[u].host, "/release", c.frame); err != nil {
-			return 0, err
-		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	moved := 0
-	for u, c := range p.conns {
-		body, err := c.readResponse()
-		k := 0
-		if err == nil {
-			k, err = wire.ParseReleaseReply(body)
-		}
+	err = p.exchange(func(u int, f []byte) []byte {
+		return wire.AppendReleaseRequest(f, p.ids[u])
+	}, func(u int, sub []byte) error {
+		k, err := wire.ParseReleaseReply(sub)
 		if err == nil && k != len(p.ids[u]) {
 			err = fmt.Errorf("released %d of %d", k, len(p.ids[u]))
 		}
-		if err != nil {
-			return 0, err
-		}
 		moved += k
-	}
-	return moved, nil
+		return err
+	})
+	return moved, err
 }
 
 // routedClient returns one client's allocate+release round through r,

@@ -6,7 +6,8 @@
 // same SplitBalls spelling the single-process service uses, against the
 // same admission sequence), and forwards each replica its hosted cells'
 // shares as cell-addressed binary allocates, group-committed into one
-// batch frame per upstream round trip (batch.go). Replicas reply in
+// batch frame per upstream round trip (batch.go) on one upgraded frame
+// stream per replica (conn.go). Replicas reply in
 // global IDs and bins, so merging their replies in global cell order
 // reconstructs exactly the single-process reply — and replaying a fixed
 // (seed, request sequence, topology, migration schedule) sequentially
@@ -560,11 +561,6 @@ func asHTTPError(err error, out **httpError) bool {
 	if ok {
 		*out = he
 	}
-	return ok
-}
-
-func isHTTPError(err error) bool {
-	_, ok := err.(*httpError)
 	return ok
 }
 

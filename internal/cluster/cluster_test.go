@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // startReplica boots one pba-serve replica over a real loopback TCP
@@ -233,47 +234,46 @@ func TestTopologyMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestPartialFailurePropagates: when a replica answers /allocate with
-// the partial-failure shape (500 + granted spans), the router folds the
-// granted spans into its reply and surfaces the error — the replica
+// TestPartialFailurePropagates: when one replica answers its share with
+// the partial-failure shape (500 + granted spans) while another answers
+// in full, the router returns the error with every granted span folded
+// into its reply — the healthy replica's and the failing replica's
+// partial grant alike — so the client can release them all: the replica
 // contract, held cluster-wide.
 func TestPartialFailurePropagates(t *testing.T) {
 	const n, cells = 8, 2
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cells", func(w http.ResponseWriter, req *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"n": n, "shards": cells, "alg": "aheavy", "seed": 1,
-			"cells": []map[string]int{{"cell": 0}, {"cell": 1}},
-		})
+	_, healthy := startReplica(t, serve.Config{N: n, Shards: cells, Alg: "aheavy", Seed: 1, Workers: 1, Host: []int{0}})
+	doc, err := json.Marshal(map[string]any{
+		"error": "cell 1: allocator wedged",
+		"spans": []serve.Span{{Start: 1, Stride: cells, Count: 3}},
 	})
-	mux.HandleFunc("/allocate", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"error": "cell 1: allocator wedged",
-			"spans": []serve.Span{{Start: 0, Stride: cells, Count: 3}},
-		})
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close() })
-
-	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: []string{"http://" + ln.Addr().String()}})
+	failing := fakeBatchUpstream(t, n, cells, []int{1}, func(subs []wire.BatchSub) []byte {
+		f := wire.BeginBatchReply(nil)
+		for _, s := range subs {
+			f = wire.AppendBatchTag(f, s.Tag)
+			f = wire.AppendBatchSubError(f, http.StatusInternalServerError, doc)
+		}
+		return wire.FinishBatch(f, 0, len(subs))
+	})
+	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: []string{healthy, failing}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
 	var rep serve.Report
-	err = r.AllocateInto(10, &rep)
-	if err == nil {
+	if err := r.AllocateInto(10, &rep); err == nil {
 		t.Fatal("partial failure returned no error")
 	}
-	if rep.Admitted != 3 || len(rep.Spans) != 1 || rep.Spans[0].Count != 3 {
+	sum, folded := 0, false
+	for _, sp := range rep.Spans {
+		sum += sp.Count
+		folded = folded || sp == (serve.Span{Start: 1, Stride: cells, Count: 3})
+	}
+	if !folded || len(rep.Spans) < 2 || rep.Admitted != sum {
 		t.Fatalf("granted spans not folded into the reply: %+v", rep)
 	}
 }

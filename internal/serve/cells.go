@@ -6,23 +6,23 @@ import (
 	"repro/internal/online"
 )
 
-// Cell-level topology operations: the migration seam the cluster tier
-// (internal/cluster) drives. A cell is self-contained — its seed, bin
-// range, and global ID arithmetic derive from the (n, shards, seed)
+// Cell-level topology operations. A cell is self-contained — its seed,
+// bin range, and global ID arithmetic derive from the (n, shards, seed)
 // topology, not from where it runs — so moving one between replicas is
-// snapshot, ship, restore, with fingerprint verification at both ends:
+// snapshot, ship, restore, with fingerprint verification at both ends.
+// The cluster tier moves cells with the two-phase protocol (migrate.go)
+// and attaches fresh ones with AttachCell(g, nil); the whole-move seam
+// below is the in-process form, which tests and benchmarks drive:
 //
 //	src: CellSnapshot(g)            capture the cell (fingerprint inside)
 //	dst: AttachCell(g, snap)        restore; online.Restore verifies the
 //	                                state against the stored fingerprint
 //	src: DetachCell(g)              stop the cell; returns the final
-//	                                fingerprint for the router to compare
-//	                                against the snapshot it shipped
+//	                                fingerprint to compare against the
+//	                                snapshot that was shipped
 //
 // All three take the topology write side, so they only proceed when the
-// replica is quiescent for that cell (no in-flight epochs, empty queue);
-// the router guarantees no new traffic targets the cell mid-move by
-// pausing its forwarding table entry first.
+// replica is quiescent for that cell (no in-flight epochs, empty queue).
 
 // CellInfo is one hosted cell's line in the GET /cells document.
 type CellInfo struct {

@@ -9,7 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,14 +27,14 @@ const MaxBatch = 1 << 22
 // before it can balloon server memory.
 const MaxBody = 16 << 20
 
-// MaxSnapshotBody caps a cell-snapshot transfer on /cells/attach — state
-// documents scale with live balls, so the migration path gets a far
-// larger allowance than the request path.
+// MaxSnapshotBody caps a migration transfer on /cells/stage and
+// /cells/commit — state documents scale with live balls, so the
+// migration path gets a far larger allowance than the request path.
 const MaxSnapshotBody = 1 << 30
 
 // Evacuation coordinate headers: a cluster router stamps these on every
-// /cells/attach so the replica knows whom to ask for migration when it is
-// told to shut down (see Service.SetEvacuation).
+// /cells/attach and /cells/stage so the replica knows whom to ask for
+// migration when it is told to shut down (see Service.SetEvacuation).
 const (
 	HeaderRouter = "X-PBA-Router"
 	HeaderSelf   = "X-PBA-Self"
@@ -336,25 +336,22 @@ func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.Ser
 //	                                            counters, Go runtime gauges
 //	GET  /cells                                 hosted cells (?fingerprint=1
 //	                                            adds full-state fingerprints)
-//	GET  /cells/snapshot?cell=g                 one cell's state as a
-//	                                            wire.CellSnapshot frame
-//	                                            (?proto=binary: the columnar
-//	                                            CellSnapshotBinary frame,
-//	                                            ~6 bytes per ball vs 25+ JSON)
-//	POST /cells/attach                          attach a cell: a CellSnapshot
-//	                                            or CellSnapshotBinary frame
-//	                                            restores a migrated cell, JSON
-//	                                            {"cell": g} attaches a fresh
-//	                                            one; the X-PBA-Router /
-//	                                            X-PBA-Self headers set the
-//	                                            evacuation coordinates
-//	POST /cells/detach {"cell": g}              detach -> {"cell", "fingerprint"}
-//	                                            ({"lite": true}: skip the
-//	                                            O(live) hash, return the O(1)
-//	                                            chain fingerprint instead)
+//	POST /cells/attach {"cell": g}              attach a fresh, empty cell; the
+//	                                            X-PBA-Router / X-PBA-Self
+//	                                            headers set the evacuation
+//	                                            coordinates
+//	POST /cells/detach {"cell": g}              drop a migrated cell's source
+//	                                            copy -> {"cell", "chain"}: the
+//	                                            O(1) chain fingerprint
+//
+// POST /allocate with "Connection: Upgrade" and "Upgrade: pba-wire"
+// switches the connection to the cluster data plane's frame stream (see
+// stream.go); batch frames are accepted only there.
 //
 // The two-phase migration family (see Service.BeginCellMigration for the
-// protocol; frames as above, errors 409 on topology conflicts):
+// protocol; snapshot frames are wire.KindCellSnapshotBinary, or the JSON
+// document KindCellSnapshot with "proto": "json"; errors 409 on topology
+// conflicts):
 //
 //	POST /cells/migrate/begin {"cell", "proto"} snapshot + arm the delta log
 //	                                            -> snapshot frame
@@ -380,7 +377,7 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			return
 		}
 		if s.Clustered() {
-			httpError(w, http.StatusConflict, "cluster replicas snapshot per cell (GET /cells/snapshot?cell=g)")
+			httpError(w, http.StatusConflict, "cluster replicas snapshot per cell (POST /cells/migrate/begin)")
 			return
 		}
 		writeJSON(w, m.handlerMetrics(), s.Snapshot())
@@ -399,75 +396,24 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 		}{s.N(), s.Shards(), s.Alg(), s.Seed(), s.Cells(r.URL.Query().Get("fingerprint") == "1")}
 		writeJSON(w, nil, doc)
 	})
-	mux.HandleFunc("/cells/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		g, err := strconv.Atoi(r.URL.Query().Get("cell"))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "cell query parameter must be an integer: %v", err)
-			return
-		}
-		proto := r.URL.Query().Get("proto")
-		if proto != "" && proto != "json" && proto != "binary" {
-			httpError(w, http.StatusBadRequest, "proto must be json or binary, got %q", proto)
-			return
-		}
-		snap, err := s.CellSnapshot(g)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		frame, err := encodeSnapshotFrame(g, snap, proto == "binary")
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding cell snapshot: %v", err)
-			return
-		}
-		s.metrics.snapshotBytes.Add(uint64(len(frame)))
-		w.Header()["Content-Type"] = wireCTValue
-		_, _ = w.Write(frame)
-	})
 	mux.HandleFunc("/cells/attach", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		s.SetEvacuation(r.Header.Get(HeaderRouter), r.Header.Get(HeaderSelf))
-		var g int
-		if r.Header.Get("Content-Type") == wire.ContentType {
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSnapshotBody))
-			if err != nil {
-				bodyError(w, err)
-				return
-			}
-			cell, cs, err := parseSnapshotFrame(body)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			s.metrics.snapshotBytes.Add(uint64(len(body)))
-			if err := s.AttachCell(cell, cs); err != nil {
-				httpError(w, http.StatusConflict, "%v", err)
-				return
-			}
-			g = cell
-		} else {
-			var req struct {
-				Cell int `json:"cell"`
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, MaxSnapshotBody)
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				bodyError(w, err)
-				return
-			}
-			if err := s.AttachCell(req.Cell, nil); err != nil {
-				httpError(w, http.StatusConflict, "%v", err)
-				return
-			}
-			g = req.Cell
+		var req struct {
+			Cell int `json:"cell"`
 		}
-		writeJSON(w, nil, map[string]any{"cell": g, "attached": true})
+		if err := readBody(w, r, &req); err != nil {
+			bodyError(w, err)
+			return
+		}
+		if err := s.AttachCell(req.Cell, nil); err != nil {
+			httpError(w, http.StatusConflict, "%v", err)
+			return
+		}
+		writeJSON(w, nil, map[string]any{"cell": req.Cell, "attached": true})
 	})
 	mux.HandleFunc("/cells/detach", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -475,28 +421,18 @@ func NewHandler(s *Service, hc HandlerConfig) http.Handler {
 			return
 		}
 		var req struct {
-			Cell int  `json:"cell"`
-			Lite bool `json:"lite"`
+			Cell int `json:"cell"`
 		}
 		if err := readBody(w, r, &req); err != nil {
 			bodyError(w, err)
 			return
 		}
-		if req.Lite {
-			chain, err := s.DetachCellLite(req.Cell)
-			if err != nil {
-				httpError(w, http.StatusConflict, "%v", err)
-				return
-			}
-			writeJSON(w, nil, map[string]any{"cell": req.Cell, "chain": chain})
-			return
-		}
-		fp, err := s.DetachCell(req.Cell)
+		chain, err := s.DetachCellLite(req.Cell)
 		if err != nil {
 			httpError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		writeJSON(w, nil, map[string]any{"cell": req.Cell, "fingerprint": fp})
+		writeJSON(w, nil, map[string]any{"cell": req.Cell, "chain": chain})
 	})
 	mux.HandleFunc("/cells/migrate/begin", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -688,7 +624,14 @@ func parseSnapshotFrame(body []byte) (int, *online.Snapshot, error) {
 // backendMux builds the shared data-plane mux over a Backend.
 func backendMux(b Backend, m *handlerMetrics, reg *obs.Registry, hc HandlerConfig) *http.ServeMux {
 	mux := http.NewServeMux()
+	streams := new(streamSet)
 	mux.HandleFunc("/allocate", func(w http.ResponseWriter, r *http.Request) {
+		if strings.EqualFold(r.Header.Get("Upgrade"), UpgradeToken) {
+			// The cluster data plane: each stream frame counts as one
+			// /allocate request, the handshake as none.
+			serveStream(b, m, hc, streams, w, r)
+			return
+		}
 		m.reqAllocate.Inc()
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -826,10 +769,6 @@ func wireAllocate(b Backend, m *handlerMetrics, hc HandlerConfig, w http.Respons
 		httpError(w, http.StatusBadRequest, "bad frame: %v", err)
 		return
 	}
-	if kind == wire.KindBatchRequest {
-		wireBatch(b, m, hc, sc, frame, start, w)
-		return
-	}
 	var count int
 	var terse bool
 	cellAddressed := kind == wire.KindCellAllocateRequest
@@ -876,21 +815,19 @@ func wireAllocate(b Backend, m *handlerMetrics, hc HandlerConfig, w http.Respons
 	putWire(sc)
 }
 
-// wireBatch is the group-commit path: one KindBatchRequest frame
-// carrying many sequence-tagged sub-requests, decoded in a single pass,
-// the allocates executed as one batch (sharing cell epochs when the
-// backend implements BatchBackend), answered with one KindBatchReply
-// frame. Sub-requests fail independently — an oversized count or an
-// allocator failure turns into that sub's error entry, never a frame
-// error — while structural malformation fails the whole request with a
-// 400 before anything executes. Owns sc and returns it to the pool.
-func wireBatch(b Backend, m *handlerMetrics, hc HandlerConfig, sc *wireScratch, frame []byte, start time.Time, w http.ResponseWriter) {
+// runBatch executes one KindBatchRequest frame read off a stream: its
+// tagged sub-requests decoded in a single pass, the allocates run as one
+// batch (sharing cell epochs when the backend implements BatchBackend),
+// and the KindBatchReply frame encoded into sc.out. Sub-requests fail
+// independently — an oversized count or an allocator failure becomes
+// that sub's error entry — while structural malformation returns an
+// error before anything executes.
+func runBatch(b Backend, m *handlerMetrics, hc HandlerConfig, sc *wireScratch, frame []byte) error {
+	start := time.Now()
 	var err error
 	sc.bsubs, err = wire.ParseBatchRequest(frame, sc.bsubs[:0])
 	if err != nil {
-		putWire(sc)
-		httpError(w, http.StatusBadRequest, "bad frame: %v", err)
-		return
+		return err
 	}
 	sc.bmeta = sc.bmeta[:0]
 	sc.bitems = sc.bitems[:0]
@@ -906,9 +843,7 @@ func wireBatch(b Backend, m *handlerMetrics, hc HandlerConfig, sc *wireScratch, 
 			off := len(sc.pairs)
 			sc.pairs, meta.terse, err = wire.ParseCellAllocateRequest(sub.Frame, sc.pairs)
 			if err != nil {
-				putWire(sc)
-				httpError(w, http.StatusBadRequest, "bad frame: sub %d: %v", len(sc.bmeta), err)
-				return
+				return fmt.Errorf("sub %d: %w", len(sc.bmeta), err)
 			}
 			meta.off, meta.n = off, len(sc.pairs)-off
 			count := 0
@@ -925,9 +860,7 @@ func wireBatch(b Backend, m *handlerMetrics, hc HandlerConfig, sc *wireScratch, 
 			off := len(sc.ids)
 			sc.ids, err = wire.ParseReleaseRequest(sub.Frame, sc.ids)
 			if err != nil {
-				putWire(sc)
-				httpError(w, http.StatusBadRequest, "bad frame: sub %d: %v", len(sc.bmeta), err)
-				return
+				return fmt.Errorf("sub %d: %w", len(sc.bmeta), err)
 			}
 			meta.off, meta.n = off, len(sc.ids)-off
 		}
@@ -995,9 +928,7 @@ func wireBatch(b Backend, m *handlerMetrics, hc HandlerConfig, sc *wireScratch, 
 	}
 	sc.out = wire.FinishBatch(out, 0, len(sc.bsubs))
 	m.stageEncode.ObserveDuration(time.Since(start))
-	w.Header()["Content-Type"] = wireCTValue
-	_, _ = w.Write(sc.out)
-	putWire(sc)
+	return nil
 }
 
 // batchErrDoc builds a sub-error JSON document in the writePartialFailure

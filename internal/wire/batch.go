@@ -7,8 +7,9 @@ import (
 
 // Batch frames are the cluster tier's group-commit container: one
 // pipelined writer per upstream coalesces many concurrent client
-// requests into a single multi-request frame per replica, and the
-// replica answers all of them in one reply frame. Each sub-request is a
+// requests into a single multi-request frame per replica, sent down that
+// replica's frame stream, and the replica answers all of them in one
+// reply frame. Each sub-request is a
 // complete nested frame of an existing kind — self-delimiting via its
 // own length prefix — prefixed with a caller-chosen u32 tag that demuxes
 // the sub-replies back to the waiting requests. Order on the wire is

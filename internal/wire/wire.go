@@ -20,7 +20,11 @@
 //
 // The length prefix makes the frame self-delimiting, so the same bytes
 // work over HTTP (where Content-Length already frames the body — the
-// prefix is then redundant but cheap) and over raw pipelined streams.
+// prefix is then redundant but cheap) and over a raw stream. The
+// cluster data plane is such a stream: a router's writer upgrades one
+// connection per replica on /allocate (serve.UpgradeToken), then sends
+// bare BatchRequest frames and reads BatchReply frames by their prefix
+// (serve.ReadStreamFrame), with no HTTP per frame.
 // Parsers require the frame to be exactly one message: a declared length
 // that disagrees with the bytes on hand, trailing garbage, or an
 // unexpected kind is an error, never a best-effort decode.
