@@ -148,6 +148,8 @@ func run(addr string, n, shards int, alg string, seed uint64, workers int, snapP
 		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
+		// Close ends the frame streams first: a frame in execution is
+		// answered while the cells still run.
 		svc.Close()
 		if snapPath != "" {
 			if err := svc.SaveSnapshotProto(snapPath, snapProto); err != nil {

@@ -48,9 +48,16 @@ const (
 	// resets so a burst after a lull starts windowless.
 	upMaxGapNs = int64(10 * time.Millisecond)
 
-	// maxBatchBytes caps one flush's frame size (the replica caps bodies
-	// at serve.MaxBody); an oversized sub carries to the next flush.
+	// maxBatchBytes caps one flush's frame size (the replica caps frames
+	// at serve.MaxBody); maxReplyBytes caps the reply bytes a flush may
+	// ask for (see replyBytes). A sub that would push either past its cap
+	// carries to the next flush, so only a lone sub exceeds maxReplyBytes.
 	maxBatchBytes = 4 << 20
+	maxReplyBytes = serve.MaxBody
+
+	// spanReplyBytes bounds one granted span in a sub-reply: 20 bytes
+	// framed, under 96 as JSON in a partial failure's error document.
+	spanReplyBytes = 96
 
 	// minWindowNs and maxWindowNs clamp the adaptive coalescing window.
 	minWindowNs = int64(2 * time.Microsecond)
@@ -86,6 +93,25 @@ func subBytes(s *batchSub) int {
 		return 32 + len(s.pairs)*8
 	}
 	return 32 + len(s.ids)*8
+}
+
+// replyBytes bounds the variable part of a sub's reply: a span per cell
+// and, unless terse, 12 bytes of placement per ball — up to
+// serve.MaxBatch×12 for one legal allocate, far past serve.MaxBody. The
+// fixed parts (headers, counters, an error message) of a whole flush's
+// reply fit in serve.MaxBody, so a reply frame over that plus the sum of
+// its subs' replyBytes is not one the replica can legitimately send.
+func replyBytes(s *batchSub) int {
+	if !s.alloc {
+		return 0
+	}
+	n := len(s.pairs) * spanReplyBytes
+	if !s.terse {
+		for _, p := range s.pairs {
+			n += 12 * p.Count
+		}
+	}
+	return n
 }
 
 // upBatcher is one upstream's group-commit writer. All mutable state
@@ -180,7 +206,7 @@ func (bt *upBatcher) run() {
 		}
 		bt.lastStart = now
 		pending = append(pending, first)
-		size := subBytes(first)
+		size, reply := subBytes(first), replyBytes(first)
 		reason := bt.flushDrain
 		window := bt.window()
 		deadline := now + window
@@ -188,12 +214,13 @@ func (bt *upBatcher) run() {
 		for len(pending) < maxUpBatch && carry == nil {
 			select {
 			case s := <-bt.q:
-				if size+subBytes(s) > maxBatchBytes {
+				if size+subBytes(s) > maxBatchBytes || reply+replyBytes(s) > maxReplyBytes {
 					carry = s
 					reason = bt.flushFull
 				} else {
 					pending = append(pending, s)
 					size += subBytes(s)
+					reply += replyBytes(s)
 				}
 			default:
 				if window == 0 {
@@ -213,17 +240,18 @@ func (bt *upBatcher) run() {
 		}
 		bt.ewmaSubs = (3*bt.ewmaSubs + int64(len(pending))<<8) / 4
 		reason.Inc()
-		c = bt.flush(c, pending)
+		c = bt.flush(c, pending, serve.MaxBody+reply)
 	}
 }
 
 // flush frames pending as one batch request (tag = index), sends it
-// down the upstream's stream, reads the one reply, and demuxes
+// down the upstream's stream, reads the one reply (refused if its prefix
+// declares more than replyLimit bytes), and demuxes
 // sub-replies back to their waiting callers. Transport failures and
 // unparseable replies fail every sub and retire the connection; per-sub
 // errors decode to *httpError so the merge path folds a partial
 // failure's spans. Returns the connection to own next round.
-func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
+func (bt *upBatcher) flush(c *conn, pending []*batchSub, replyLimit int) *conn {
 	bt.frames.Inc()
 	bt.batchSize.Observe(int64(len(pending)))
 	f := wire.BeginBatchRequest(bt.frame[:0])
@@ -238,7 +266,7 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 	bt.frame = wire.FinishBatch(f, 0, len(pending))
 	bt.up.forwards.Add(uint64(len(pending)))
 	start := time.Now()
-	c, reply, err := bt.exchange(c)
+	c, reply, err := bt.exchange(c, replyLimit)
 	bt.up.latency.ObserveDuration(time.Since(start))
 	if err != nil {
 		return bt.broken(c, pending, err)
@@ -286,7 +314,7 @@ func (bt *upBatcher) flush(c *conn, pending []*batchSub) *conn {
 // between frames, say on shutdown — is closed and the frame resent once
 // on a fresh one: by the stream's closing contract the replica never ran
 // it. On failure the returned connection is the one to retire.
-func (bt *upBatcher) exchange(c *conn) (*conn, []byte, error) {
+func (bt *upBatcher) exchange(c *conn, replyLimit int) (*conn, []byte, error) {
 	for retry := c != nil; ; retry = false {
 		if c == nil {
 			var err error
@@ -298,7 +326,7 @@ func (bt *upBatcher) exchange(c *conn) (*conn, []byte, error) {
 		answered := false
 		var reply []byte
 		if err == nil {
-			reply, answered, err = c.receive()
+			reply, answered, err = c.receive(replyLimit)
 		}
 		if err == nil || answered || !retry {
 			return c, reply, err

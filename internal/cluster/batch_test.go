@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -231,7 +233,7 @@ func fakeBatchUpstream(t *testing.T, n, cells int, hosted []int, answer func(sub
 		}
 		var frame []byte
 		for {
-			if frame, err = serve.ReadStreamFrame(brw.Reader, frame); err != nil {
+			if frame, err = serve.ReadStreamFrame(brw.Reader, frame, serve.MaxBody); err != nil {
 				return
 			}
 			subs, err := wire.ParseBatchRequest(frame, nil)
@@ -344,13 +346,14 @@ func TestBatchMissingSubFails(t *testing.T) {
 }
 
 // TestRouterCapsReplyFrame: a reply whose length prefix declares more
-// than serve.MaxBody fails the forward with serve.ErrFrameTooLarge at
-// once — the router neither allocates the declared size nor waits for
-// bytes that never come — and retires the stream.
+// than the flush can legitimately get back (serve.MaxBody plus its subs'
+// replyBytes) fails the forward with serve.ErrFrameTooLarge at once —
+// the router neither allocates the declared size nor waits for bytes
+// that never come — and retires the stream.
 func TestRouterCapsReplyFrame(t *testing.T) {
 	const n, cells = 8, 2
 	up := fakeBatchUpstream(t, n, cells, allCells(cells), func([]wire.BatchSub) []byte {
-		return binary.LittleEndian.AppendUint32(nil, serve.MaxBody)
+		return binary.LittleEndian.AppendUint32(nil, math.MaxUint32)
 	})
 	r, err := New(Config{N: n, Cells: cells, Alg: "aheavy", Seed: 1, Upstreams: []string{up}})
 	if err != nil {
@@ -363,5 +366,45 @@ func TestRouterCapsReplyFrame(t *testing.T) {
 	}
 	if r.ups[0].healthy.Load() {
 		t.Fatal("upstream still healthy after an oversized reply")
+	}
+}
+
+// TestRouterForwardsReplyOverMaxBody: a legal non-terse allocate whose
+// placements alone take more than serve.MaxBody (12 bytes a ball) comes
+// back through the router whole. The replica grants the balls before it
+// writes the reply, so refusing that reply would leave live balls no
+// client holds the IDs of.
+func TestRouterForwardsReplyOverMaxBody(t *testing.T) {
+	const n, cells, seed = 16, 2, 6
+	k := serve.MaxBody/12 + 1<<16
+	// Several ~20 MB copies of the placements are live at once; collect
+	// eagerly so the test's footprint stays near them.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	// oneshot is the cheapest inner algorithm; only the transport is
+	// under test.
+	svc, up := startReplica(t, serve.Config{N: n, Shards: cells, Alg: "oneshot", Seed: seed, Workers: 1, Host: []int{}})
+	r, err := New(Config{N: n, Cells: cells, Alg: "oneshot", Seed: seed, Upstreams: []string{up}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var rep serve.Report
+	if err := r.AllocateInto(k, &rep); err != nil {
+		t.Fatalf("allocating %d balls: %v", k, err)
+	}
+	if rep.Admitted != k || len(rep.Placements) != k {
+		t.Fatalf("admitted %d with %d placements, want %d", rep.Admitted, len(rep.Placements), k)
+	}
+	if live := svc.StatsLite().Live; live != int64(k) {
+		t.Fatalf("replica holds %d live balls, want %d", live, k)
+	}
+	if errs := r.ups[0].errors.Load(); errs != 0 || !r.ups[0].healthy.Load() {
+		t.Fatalf("%d forward errors, healthy %v; want none, true", errs, r.ups[0].healthy.Load())
+	}
+	if got := r.Release(rep.IDs()); got != k {
+		t.Fatalf("released %d of %d", got, k)
+	}
+	if live := svc.StatsLite().Live; live != 0 {
+		t.Fatalf("replica holds %d live balls after releasing every grant", live)
 	}
 }

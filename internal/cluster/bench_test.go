@@ -70,7 +70,7 @@ func (p *rawPlane) exchange(fill func(u int, f []byte) []byte, take func(u int, 
 		}
 	}
 	for u, c := range p.conns {
-		reply, _, err := c.receive()
+		reply, _, err := c.receive(serve.MaxBody)
 		if err == nil {
 			p.subs, err = wire.ParseBatchReply(reply, p.subs[:0])
 		}

@@ -131,15 +131,15 @@ func (c *conn) readLine() ([]byte, error) {
 	return bytes.TrimSuffix(line[:len(line)-1], []byte("\r")), nil
 }
 
-// receive reads the next reply frame into c.reply, capped at
-// serve.MaxBody like the replica's reads. answered reports whether any
+// receive reads the next reply frame into c.reply, refusing one whose
+// prefix declares more than limit bytes. answered reports whether any
 // byte of the reply arrived: a failure before the first byte means, by
 // the stream's closing contract, that the replica never ran the frame.
-func (c *conn) receive() (frame []byte, answered bool, err error) {
+func (c *conn) receive(limit int) (frame []byte, answered bool, err error) {
 	if _, err := c.br.Peek(1); err != nil {
 		return nil, false, err
 	}
-	c.reply, err = serve.ReadStreamFrame(c.br, c.reply)
+	c.reply, err = serve.ReadStreamFrame(c.br, c.reply, limit)
 	return c.reply, true, err
 }
 

@@ -301,9 +301,10 @@ func newHandlerMetrics(reg *obs.Registry) *handlerMetrics {
 // family are Service-specific and absent here). The handler's own
 // instruments — path counters, decode/encode stages — register on reg,
 // and GET /metrics serves reg's exposition. The returned mux is open:
-// callers add process-specific endpoints alongside.
+// callers add process-specific endpoints alongside. Its frame streams
+// close only with the server's Shutdown, or when their peer closes.
 func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.ServeMux {
-	return backendMux(b, newHandlerMetrics(reg), reg, hc)
+	return backendMux(b, newHandlerMetrics(reg), reg, hc, new(streamSet))
 }
 
 // NewHandler exposes the service over HTTP. Every endpoint speaks JSON;
@@ -344,9 +345,10 @@ func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.Ser
 //	                                            copy -> {"cell", "chain"}: the
 //	                                            O(1) chain fingerprint
 //
-// POST /allocate with "Connection: Upgrade" and "Upgrade: pba-wire"
+// GET /allocate with "Connection: Upgrade" and "Upgrade: pba-wire"
 // switches the connection to the cluster data plane's frame stream (see
-// stream.go); batch frames are accepted only there.
+// stream.go); batch frames are accepted only there. The streams close
+// with the server's Shutdown or with s.Close, whichever comes first.
 //
 // The two-phase migration family (see Service.BeginCellMigration for the
 // protocol; snapshot frames are wire.KindCellSnapshotBinary, or the JSON
@@ -368,7 +370,7 @@ func NewBackendHandler(b Backend, reg *obs.Registry, hc HandlerConfig) *http.Ser
 // or 500 (allocator failure; carries the granted spans, see
 // writePartialFailure).
 func NewHandler(s *Service, hc HandlerConfig) http.Handler {
-	mux := backendMux(s, s.metrics.handlerMetrics(), s.metrics.reg, hc)
+	mux := backendMux(s, s.metrics.handlerMetrics(), s.metrics.reg, hc, &s.streams)
 	m := s.metrics
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		m.httpSnapshot.Inc()
@@ -622,11 +624,11 @@ func parseSnapshotFrame(body []byte) (int, *online.Snapshot, error) {
 }
 
 // backendMux builds the shared data-plane mux over a Backend.
-func backendMux(b Backend, m *handlerMetrics, reg *obs.Registry, hc HandlerConfig) *http.ServeMux {
+// Upgraded /allocate connections are tracked in streams.
+func backendMux(b Backend, m *handlerMetrics, reg *obs.Registry, hc HandlerConfig, streams *streamSet) *http.ServeMux {
 	mux := http.NewServeMux()
-	streams := new(streamSet)
 	mux.HandleFunc("/allocate", func(w http.ResponseWriter, r *http.Request) {
-		if strings.EqualFold(r.Header.Get("Upgrade"), UpgradeToken) {
+		if r.Method == http.MethodGet && strings.EqualFold(r.Header.Get("Upgrade"), UpgradeToken) {
 			// The cluster data plane: each stream frame counts as one
 			// /allocate request, the handshake as none.
 			serveStream(b, m, hc, streams, w, r)

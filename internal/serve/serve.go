@@ -91,6 +91,7 @@ type Service struct {
 	nextReq  uint64     // router cursor: requests admitted so far
 	closed   bool
 	inflight sync.WaitGroup // Allocate calls between admission and reply
+	streams  streamSet      // NewHandler's frame streams, closed by Close
 
 	loops     sync.WaitGroup // cell batcher goroutines
 	relPool   sync.Pool      // *releaseBufs: reusable Release partition buffers
@@ -374,9 +375,12 @@ func (s *Service) Alg() string { return s.cfg.Alg }
 // Seed returns the service seed (the snapshot's seed after a restore).
 func (s *Service) Seed() uint64 { return s.cfg.Seed }
 
-// Close stops the cell batchers. It waits for in-flight Allocate calls to
-// drain; concurrent and subsequent Allocates fail cleanly.
+// Close stops the cell batchers. It first closes NewHandler's frame
+// streams, waiting for any frame in execution to be answered, then waits
+// for in-flight Allocate calls to drain; concurrent and subsequent
+// Allocates fail cleanly.
 func (s *Service) Close() {
+	s.streams.close()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

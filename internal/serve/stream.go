@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,107 +29,89 @@ import (
 // KindBatchRequest, a malformed batch — closes the stream; there is no
 // whole-frame error reply.
 //
-// Closing contract: a frame the replica has started to execute is always
-// answered before its stream closes, and once a stream is closing no
-// further frame starts. A stream that ends before any byte of a reply
-// therefore never ran the frame, so the writer may resend it once on a
-// fresh connection.
+// Closing contract: the replica answers every frame it has read in full
+// before its stream closes, and reads no further frame once the stream
+// is closing. A stream that ends before any byte of a reply therefore
+// never ran the frame, so the writer may resend it once on a fresh
+// connection. Streams close when their server shuts down
+// (http.Server.Shutdown) and, for NewHandler, when its Service closes.
 
 // UpgradeToken is the Upgrade header value that turns an /allocate
 // connection into a frame stream.
 const UpgradeToken = "pba-wire"
 
 // ErrFrameTooLarge rejects a stream frame whose length prefix declares
-// more than MaxBody bytes.
-var ErrFrameTooLarge = errors.New("serve: stream frame exceeds MaxBody")
+// more bytes than its reader accepts (MaxBody on the replica).
+var ErrFrameTooLarge = errors.New("serve: stream frame exceeds the reader's limit")
 
 // upgradeReply is the replica's half of the handshake.
 var upgradeReply = []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + UpgradeToken + "\r\n\r\n")
 
+// streamChunk is the first step of a frame body read. Each later step
+// doubles what has arrived, so a reader's memory follows the bytes a
+// peer actually sends, not the length its prefix declares.
+const streamChunk = 64 << 10
+
+// maxRetainedFrame: a frame buffer grown past this by one large frame is
+// dropped before the next read rather than pinned for the stream's life.
+const maxRetainedFrame = 1 << 20
+
 // ReadStreamFrame reads one length-prefixed wire frame from r into dst's
-// backing array (grown when too small) and returns the whole frame,
-// prefix included, ready for the wire parsers. A prefix declaring a
-// frame over MaxBody bytes fails with ErrFrameTooLarge before anything
-// past it is read or allocated. A stream that ends before the first
-// byte returns io.EOF; one that ends inside the frame returns
-// io.ErrUnexpectedEOF.
-func ReadStreamFrame(r io.Reader, dst []byte) ([]byte, error) {
-	if cap(dst) < 4 {
+// backing array and returns the whole frame, prefix included, ready for
+// the wire parsers. A prefix declaring more than limit bytes fails with
+// ErrFrameTooLarge before anything past it is read or allocated; below
+// the limit the buffer grows only as body bytes arrive. A stream that
+// ends before the first byte returns io.EOF; one that ends inside the
+// frame returns io.ErrUnexpectedEOF.
+func ReadStreamFrame(r io.Reader, dst []byte, limit int) ([]byte, error) {
+	if cap(dst) < 4 || cap(dst) > maxRetainedFrame {
 		dst = make([]byte, 4, 512)
 	}
 	dst = dst[:4]
 	if _, err := io.ReadFull(r, dst); err != nil {
 		return dst[:0], err
 	}
-	n := 4 + int64(binary.LittleEndian.Uint32(dst))
-	if n > MaxBody {
+	n := 4 + int(binary.LittleEndian.Uint32(dst))
+	if n > limit {
 		return dst[:0], ErrFrameTooLarge
 	}
-	if int64(cap(dst)) < n {
-		grown := make([]byte, n)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n]
-	if _, err := io.ReadFull(r, dst[4:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for have := 4; have < n; have = len(dst) {
+		next := n
+		if n > cap(dst) {
+			next = min(n, max(2*have, streamChunk))
+			dst = slices.Grow(dst, next-have)
 		}
-		return dst[:0], err
+		dst = dst[:next]
+		if _, err := io.ReadFull(r, dst[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return dst[:0], err
+		}
 	}
 	return dst, nil
-}
-
-// stream is one upgraded connection. busy and shut, under mu, implement
-// the closing contract: close never cuts a frame in execution.
-type stream struct {
-	nc   net.Conn
-	mu   sync.Mutex
-	busy bool
-	shut bool
-}
-
-// begin marks a frame in execution; false means the stream is closing
-// and the frame must not run.
-func (st *stream) begin() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.busy = !st.shut
-	return st.busy
-}
-
-// end marks the frame answered; false means the stream is closing.
-func (st *stream) end() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.busy = false
-	return !st.shut
-}
-
-// close closes the connection now when no frame is executing, and
-// otherwise leaves it to the stream loop once the reply is written.
-func (st *stream) close() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.shut = true
-	if !st.busy {
-		_ = st.nc.Close()
-	}
 }
 
 // streamSet tracks one handler's open streams. http.Server does not
 // track hijacked connections, so the set registers itself with every
 // server that upgrades a connection through it and closes its streams
-// when that server shuts down.
+// when that server shuts down; NewHandler's set also closes with its
+// Service (Service.Close), which covers http.Server.Close.
+//
+// Closing sets a read deadline in the past on every stream: it cuts a
+// frame still being read (that frame never runs) and leaves a reply
+// write alone, so a frame already executing is answered in full and its
+// loop exits on the next read.
 type streamSet struct {
 	mu      sync.Mutex
-	open    map[*stream]struct{}
+	open    map[net.Conn]struct{}
 	servers map[*http.Server]bool
 	closed  bool
+	wg      sync.WaitGroup // one per open stream
 }
 
-// add tracks st; false means the set has closed and st must not serve.
-func (s *streamSet) add(st *stream, srv *http.Server) bool {
+// add tracks nc; false means the set has closed and nc must not serve.
+func (s *streamSet) add(nc net.Conn, srv *http.Server) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -142,27 +125,30 @@ func (s *streamSet) add(st *stream, srv *http.Server) bool {
 		srv.RegisterOnShutdown(s.close)
 	}
 	if s.open == nil {
-		s.open = make(map[*stream]struct{})
+		s.open = make(map[net.Conn]struct{})
 	}
-	s.open[st] = struct{}{}
+	s.open[nc] = struct{}{}
+	s.wg.Add(1)
 	return true
 }
 
-func (s *streamSet) remove(st *stream) {
+func (s *streamSet) remove(nc net.Conn) {
 	s.mu.Lock()
-	delete(s.open, st)
+	delete(s.open, nc)
 	s.mu.Unlock()
+	s.wg.Done()
 }
 
-// close closes every open stream (each after its frame in execution, if
-// any) and refuses new ones.
+// close refuses new streams, ends every open one (each after its frame
+// in execution, if any) and waits until all their loops have returned.
 func (s *streamSet) close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
-	for st := range s.open {
-		st.close()
+	for nc := range s.open {
+		_ = nc.SetReadDeadline(time.Now())
 	}
+	s.mu.Unlock()
+	s.wg.Wait()
 }
 
 // serveStream answers the upgrade handshake on a hijacked /allocate
@@ -170,6 +156,7 @@ func (s *streamSet) close() {
 // frame is bad, or the set closes. It runs on the connection's own
 // handler goroutine, which returns when the stream ends.
 func serveStream(b Backend, m *handlerMetrics, hc HandlerConfig, set *streamSet, w http.ResponseWriter, r *http.Request) {
+	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
 	hj, ok := w.(http.Hijacker)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "connection cannot be upgraded")
@@ -180,15 +167,14 @@ func serveStream(b Backend, m *handlerMetrics, hc HandlerConfig, set *streamSet,
 		return
 	}
 	defer nc.Close()
-	st := &stream{nc: nc}
-	srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
-	if !set.add(st, srv) {
+	// The server's header deadlines no longer apply; the stream idles
+	// between frames for as long as its writer does. Cleared before the
+	// set sees the stream, so this cannot undo a close.
+	_ = nc.SetDeadline(time.Time{})
+	if !set.add(nc, srv) {
 		return
 	}
-	defer set.remove(st)
-	// The server's header deadlines no longer apply; the stream idles
-	// between frames for as long as its writer does.
-	_ = nc.SetDeadline(time.Time{})
+	defer set.remove(nc)
 	if _, err := nc.Write(upgradeReply); err != nil {
 		return
 	}
@@ -196,21 +182,17 @@ func serveStream(b Backend, m *handlerMetrics, hc HandlerConfig, set *streamSet,
 	defer putWire(sc)
 	var frame []byte
 	for {
-		if frame, err = ReadStreamFrame(brw.Reader, frame); err != nil {
+		if frame, err = ReadStreamFrame(brw.Reader, frame, MaxBody); err != nil {
 			return
 		}
 		if kind, err := wire.Kind(frame); err != nil || kind != wire.KindBatchRequest {
 			return
 		}
-		if !st.begin() {
+		m.reqAllocate.Inc()
+		if err := runBatch(b, m, hc, sc, frame); err != nil {
 			return
 		}
-		m.reqAllocate.Inc()
-		err := runBatch(b, m, hc, sc, frame)
-		if err == nil {
-			_, err = nc.Write(sc.out)
-		}
-		if !st.end() || err != nil {
+		if _, err := nc.Write(sc.out); err != nil {
 			return
 		}
 	}

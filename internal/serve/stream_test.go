@@ -77,7 +77,7 @@ func exchangeFrame(t *testing.T, nc net.Conn, br *bufio.Reader, frame []byte) []
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := ReadStreamFrame(br, nil)
+	reply, err := ReadStreamFrame(br, nil, MaxBody)
 	if err != nil {
 		t.Fatalf("reading reply: %v", err)
 	}
@@ -139,7 +139,8 @@ func TestStreamCountsEveryFrame(t *testing.T) {
 }
 
 // TestBatchFrameRefusedOverPOST: batch frames are accepted only on the
-// stream; POSTed to /allocate they are a bad frame.
+// stream; POSTed to /allocate they are a bad frame, Upgrade headers or
+// not (only a GET upgrades).
 func TestBatchFrameRefusedOverPOST(t *testing.T) {
 	s, err := New(Config{N: 16, Shards: 2, Alg: "aheavy", Seed: 1})
 	if err != nil {
@@ -149,6 +150,8 @@ func TestBatchFrameRefusedOverPOST(t *testing.T) {
 	frame := batchOf(wire.AppendCellAllocateRequest(nil, []wire.CellCount{{Cell: 0, Count: 1}}, true))
 	req := httptest.NewRequest(http.MethodPost, "/allocate", bytes.NewReader(frame))
 	req.Header.Set("Content-Type", wire.ContentType)
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", UpgradeToken)
 	rec := httptest.NewRecorder()
 	NewHandler(s, HandlerConfig{}).ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
@@ -205,7 +208,7 @@ func TestReadStreamFrameCap(t *testing.T) {
 	r := bytes.NewReader(nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Reset(in)
-		if _, err := ReadStreamFrame(r, dst); !errors.Is(err, ErrFrameTooLarge) {
+		if _, err := ReadStreamFrame(r, dst, MaxBody); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("got %v, want ErrFrameTooLarge", err)
 		}
 	})
@@ -218,8 +221,37 @@ func TestReadStreamFrameCap(t *testing.T) {
 	// A frame of exactly MaxBody bytes is within the cap.
 	in = binary.LittleEndian.AppendUint32(nil, MaxBody-4)
 	in = append(in, make([]byte, MaxBody-4)...)
-	if f, err := ReadStreamFrame(bytes.NewReader(in), nil); err != nil || len(f) != MaxBody {
+	if f, err := ReadStreamFrame(bytes.NewReader(in), nil, MaxBody); err != nil || len(f) != MaxBody {
 		t.Fatalf("MaxBody-byte frame: %d bytes, %v", len(f), err)
+	}
+}
+
+// TestReadStreamFrameGrowsWithBytes: below the cap, the frame buffer
+// grows as body bytes arrive, so a peer that declares a MaxBody frame
+// and then stalls pins a small buffer, not the declared size; and a
+// buffer grown past the retention bound by one large frame is not kept
+// for the next.
+func TestReadStreamFrameGrowsWithBytes(t *testing.T) {
+	in := binary.LittleEndian.AppendUint32(nil, MaxBody-4)
+	in = append(in, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadStreamFrame(bytes.NewReader(in), nil, MaxBody)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("stalled frame returned %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4*streamChunk {
+		t.Fatalf("a 104-byte prefix of a %d-byte frame allocated %d bytes", MaxBody, grown)
+	}
+
+	frame := wire.AppendReleaseRequest(nil, []int64{1, 2, 3})
+	f, err := ReadStreamFrame(bytes.NewReader(frame), make([]byte, 0, 2*maxRetainedFrame), MaxBody)
+	if err != nil || !bytes.Equal(f, frame) {
+		t.Fatalf("read %x, %v; want %x", f, err, frame)
+	}
+	if cap(f) > maxRetainedFrame {
+		t.Fatalf("kept a %d-byte buffer past the %d-byte retention bound", cap(f), maxRetainedFrame)
 	}
 }
 
@@ -241,58 +273,80 @@ func (g *gatedBackend) AllocateCellsBatch(items []CellBatchItem) {
 }
 
 // TestStreamClosesOnShutdown: http.Server does not track hijacked
-// connections, so its Shutdown must still reach the streams. An idle
-// stream closes at once; a stream with a frame in execution answers that
-// frame in full and then closes; afterwards no stream goroutine is left.
+// connections, so its Shutdown must still reach the streams, and after
+// its Close (which runs no shutdown hook) the Service's Close must. An
+// idle stream closes at once; a stream with a frame in execution answers
+// that frame in full and then closes; afterwards no stream goroutine is
+// left.
 func TestStreamClosesOnShutdown(t *testing.T) {
-	s, err := New(Config{N: 16, Shards: 2, Alg: "aheavy", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	gb := &gatedBackend{Service: s, entered: make(chan struct{}), release: make(chan struct{})}
-	release := sync.OnceFunc(func() { close(gb.release) })
-	defer release() // before s.Close, which waits for the held batch
-	srv, addr := startStreamServer(t, NewBackendHandler(gb, obs.NewRegistry(), HandlerConfig{}))
-	idle, idleBR := dialStream(t, addr)
-	busy, busyBR := dialStream(t, addr)
-	frame := batchOf(wire.AppendCellAllocateRequest(nil, []wire.CellCount{{Cell: 0, Count: 2}}, true))
-	exchangeFrame(t, idle, idleBR, frame)
-	gb.armed.Store(true)
-	if _, err := busy.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	<-gb.entered
+	for _, via := range []string{"Shutdown", "Close"} {
+		t.Run(via, func(t *testing.T) {
+			s, err := New(Config{N: 16, Shards: 2, Alg: "aheavy", Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			gb := &gatedBackend{Service: s, entered: make(chan struct{}), release: make(chan struct{})}
+			release := sync.OnceFunc(func() { close(gb.release) })
+			defer release() // before s.Close, which waits for the held batch
+			reg := obs.NewRegistry()
+			srv, addr := startStreamServer(t, backendMux(gb, newHandlerMetrics(reg), reg, HandlerConfig{}, &s.streams))
+			idle, idleBR := dialStream(t, addr)
+			busy, busyBR := dialStream(t, addr)
+			frame := batchOf(wire.AppendCellAllocateRequest(nil, []wire.CellCount{{Cell: 0, Count: 2}}, true))
+			exchangeFrame(t, idle, idleBR, frame)
+			gb.armed.Store(true)
+			if _, err := busy.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			<-gb.entered
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	expectClosed(t, idleBR)
-	release()
-	reply, err := ReadStreamFrame(busyBR, nil)
-	if err != nil {
-		t.Fatalf("frame in execution at shutdown went unanswered: %v", err)
-	}
-	if subs, err := wire.ParseBatchReply(reply, nil); err != nil || len(subs) != 1 || subs[0].Status != 0 {
-		t.Fatalf("frame in execution at shutdown: reply %+v, %v", subs, err)
-	}
-	expectClosed(t, busyBR)
-	if live := s.StatsLite().Live; live != 4 {
-		t.Fatalf("%d live balls, want the 4 both frames admitted", live)
-	}
+			closed := make(chan struct{})
+			if via == "Shutdown" {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if err := srv.Shutdown(ctx); err != nil {
+					t.Fatal(err)
+				}
+				close(closed)
+			} else {
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				go func() { s.Close(); close(closed) }()
+			}
+			expectClosed(t, idleBR)
+			release()
+			reply, err := ReadStreamFrame(busyBR, nil, MaxBody)
+			if err != nil {
+				t.Fatalf("frame in execution at %s went unanswered: %v", via, err)
+			}
+			subs, err := wire.ParseBatchReply(reply, nil)
+			if err != nil || len(subs) != 1 || subs[0].Status != 0 {
+				t.Fatalf("frame in execution at %s: reply %+v, %v", via, subs, err)
+			}
+			var rep Report
+			if err := wire.ParseReport(subs[0].Frame, &rep); err != nil || rep.Admitted != 2 {
+				t.Fatalf("frame in execution at %s admitted %d of 2 (%v)", via, rep.Admitted, err)
+			}
+			expectClosed(t, busyBR)
+			<-closed
+			if live := s.StatsLite().Live; live != 4 {
+				t.Fatalf("%d live balls, want the 4 both frames admitted", live)
+			}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "serve.serveStream") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stream goroutine left after shutdown:\n%s", stacks)
-		}
-		time.Sleep(10 * time.Millisecond)
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				buf := make([]byte, 1<<20)
+				stacks := string(buf[:runtime.Stack(buf, true)])
+				if !strings.Contains(stacks, "serve.serveStream") {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("stream goroutine left after %s:\n%s", via, stacks)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
